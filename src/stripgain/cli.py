@@ -18,6 +18,8 @@ import numpy as np
 from . import matkernel
 from .dominance import (
     SlopeLoop,
+    _minus_one,
+    classify_attractors,
     dominance_check,
     l2p_gain,
     feedback_compose,
@@ -44,7 +46,7 @@ from .laplace import (
 from .modelio import float_repr, json_text, load_model, sha256_hex
 from .rational import Polynomial, RationalFunction
 from .regions import Line, Strip
-from .statespace import StateSpace, realize, tf_of
+from .statespace import realize, tf_of
 from .stripnorm import (
     frequency_response_data,
     line_norm_bisection,
@@ -114,14 +116,6 @@ def _region_from_args(args, warnings):
     return Strip(lo, hi)
 
 
-def _model_tf(path: str):
-    """Load a model and return it as a SISO transfer function."""
-    kind, system, digest = load_model(path)
-    if kind == "tf":
-        return system, kind, digest
-    return tf_of(system), kind, digest
-
-
 def _model_ss(path: str):
     """Load a model and return it as a state-space system."""
     kind, system, digest = load_model(path)
@@ -187,17 +181,17 @@ def _norm_result_fields(res) -> dict:
 def cmd_norm(args) -> int:
     warnings: list[str] = []
     notes: list[str] = []
-    G, kind, digest = _model_tf(args.model)
+    kind, system, digest = load_model(args.model)
     region = _region_from_args(args, warnings)
     if isinstance(region, Line):
         if args.method == "grid":
-            res = line_norm_grid(G, region)
+            res = line_norm_grid(system, region)
         else:
-            res = line_norm_bisection(G, region, args.tol)
+            res = line_norm_bisection(system, region, args.tol)
         results = {"mode": "line", "rate": region.lam, "real_part": region.real_part}
         results.update(_norm_result_fields(res))
     else:
-        res = strip_norm(G, region, method=args.method, tol=args.tol)
+        res = strip_norm(system, region, method=args.method, tol=args.tol)
         results = {
             "mode": "strip",
             "rates": [region.lo, region.hi],
@@ -205,7 +199,8 @@ def cmd_norm(args) -> int:
         results.update(_norm_result_fields(res))
         results["attaining_boundary"] = res.attaining_boundary
         results["boundary_values"] = list(res.boundary_values)
-        _sec5_norm_notes(G, region, notes)
+        if kind == "tf":
+            _sec5_norm_notes(system, region, notes)
     _emit(_envelope("norm", [(args.model, digest)], results, warnings, notes))
     return EXIT_OK
 
@@ -220,16 +215,10 @@ def cmd_dominance(args) -> int:
         "dominant": True,
         "epsilon": cert.epsilon,
         "lmi_residual": cert.lmi_residual,
-        "classification": _classification(cert.p),
+        "classification": classify_attractors(cert.p),
     }
     _emit(_envelope("dominance", [(args.model, digest)], results, warnings, []))
     return EXIT_OK
-
-
-def _classification(p: int) -> str:
-    from .dominance import classify_attractors
-
-    return classify_attractors(p)
 
 
 def _gain_cert_fields(cert) -> dict:
@@ -258,13 +247,20 @@ def _gain_cert_fields(cert) -> dict:
 def cmd_gain(args) -> int:
     warnings: list[str] = []
     notes: list[str] = []
-    ss, kind, digest = _model_ss(args.model)
+    kind, system, digest = load_model(args.model)
+    ss = realize(system) if kind == "tf" else system
     region = _region_from_args(args, warnings)
     if isinstance(region, Line):
         cert = l2p_gain(ss, args.p, region, args.tol, args.certificate)
     else:
         cert = strip_gain(ss, args.p, region, args.tol, args.certificate)
-        _sec5_norm_notes(tf_of(ss), region, notes)
+        if kind == "tf":
+            _sec5_norm_notes(system, region, notes)
+    if args.certificate and cert.P is None:
+        warnings.append(
+            "a certificate was requested but none could be built; "
+            "the gain bound in results is not certified"
+        )
     results = {"mode": "line" if isinstance(region, Line) else "strip"}
     results.update(_gain_cert_fields(cert))
     _emit(_envelope("gain", [(args.model, digest)], results, warnings, notes))
@@ -289,7 +285,7 @@ def cmd_smallgain(args) -> int:
         "message": report.message,
     }
     if report.conclusive:
-        results["classification"] = _classification(report.closed_p)
+        results["classification"] = classify_attractors(report.closed_p)
     _emit(
         _envelope(
             "smallgain",
@@ -338,10 +334,10 @@ def _write_csv(args, command, inputs, header, rows, extra_results, warnings, not
 
 def cmd_nyquist(args) -> int:
     warnings: list[str] = []
-    G, kind, digest = _model_tf(args.model)
+    kind, system, digest = load_model(args.model)
     line = Line(args.line)
     omegas = _response_grid(args)
-    data = frequency_response_data(G, line, omegas, uncertainty=args.uncertainty)
+    data = frequency_response_data(system, line, omegas, uncertainty=args.uncertainty)
     margins = np.abs(data[:, 1] + 1j * data[:, 2] + 1.0) - data[:, 4]
     min_margin = float(np.min(margins))
     extra = {
@@ -364,10 +360,10 @@ def cmd_nyquist(args) -> int:
 
 def cmd_bode(args) -> int:
     warnings: list[str] = []
-    G, kind, digest = _model_tf(args.model)
+    kind, system, digest = load_model(args.model)
     line = Line(args.line)
     omegas = _response_grid(args)
-    data = frequency_response_data(G, line, omegas)
+    data = frequency_response_data(system, line, omegas)
     with np.errstate(divide="ignore"):
         mag_db = 20.0 * np.log10(data[:, 3])
     phase = np.degrees(np.arctan2(data[:, 2], data[:, 1]))
@@ -458,7 +454,8 @@ def cmd_laplace_forward(args) -> int:
 
 
 def cmd_laplace_invert(args) -> int:
-    G, kind, digest = _model_tf(args.model)
+    kind, system, digest = load_model(args.model)
+    G = tf_of(system) if kind == "ss" else system
     roc = _roc_bounds(args.roc)
     spec = inverse(G, roc)
     results = {
@@ -476,10 +473,6 @@ def cmd_laplace_invert(args) -> int:
     }
     _emit(_envelope("laplace invert", [(args.model, digest)], results, [], []))
     return EXIT_OK
-
-
-def _minus_one_static() -> StateSpace:
-    return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-1.0]])
 
 
 def cmd_example_sec5(args) -> int:
@@ -536,7 +529,7 @@ def cmd_example_sec5(args) -> int:
     # Direct check: close the loop through the lag and count eigenvalues
     # right of each rate line.
     lag_path = RationalFunction([1.0], Polynomial((1.0, args.tau)))
-    closed = feedback_compose(realize(L * lag_path), _minus_one_static())
+    closed = feedback_compose(realize(L * lag_path), _minus_one())
     eig = matkernel.eig(closed.A)
     rates = [strip.lo, 0.5 * (strip.lo + strip.hi), strip.hi]
     counts = []

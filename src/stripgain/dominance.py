@@ -26,16 +26,10 @@ from .errors import (
     NumericalFailure,
 )
 from .rational import RationalFunction
-from .regions import Line, Strip
+from .regions import TAU_LINE, Line, Strip
 from .statespace import StateSpace, realize, require_siso
-from .stripnorm import (
-    _ss_line_mag,
-    build_hamiltonian,
-    line_norm_bisection,
-    maxmod_slack,
-)
+from .stripnorm import build_hamiltonian, coarse_grid, line_norm_bisection, strip_maximum
 
-TAU_LINE = 1e-8
 TAU_INERTIA = 1e-8
 
 
@@ -312,34 +306,13 @@ def strip_gain(
     require_siso(ss, "strip_gain")
     lo_cert = l2p_gain(ss, p, strip.lower_line, tol, with_certificate)
     hi_cert = l2p_gain(ss, p, strip.upper_line, tol, with_certificate)
-    if lo_cert.gamma >= hi_cert.gamma:
-        best = lo_cert
-    else:
-        best = hi_cert
-    gamma = best.gamma
-    slack = maxmod_slack(gamma)
-    eigs = matkernel.eig(ss.A) if ss.n else np.zeros(0, dtype=complex)
-    omegas = np.unique(
-        np.concatenate(
-            [
-                np.array([0.0]),
-                np.logspace(-3, 3, 64),
-                np.abs(eigs.imag[np.abs(eigs.imag) > 0]),
-            ]
-        )
-    )
     for lam in strip.interior_rates(5):
         dominance_check(ss, p, lam)
-        worst = float(np.max(_ss_line_mag(ss, lam, omegas))) if ss.n else abs(
-            float(ss.D[0, 0])
-        )
-        if worst > gamma + slack:
-            raise NumericalFailure(
-                "interior gain %.6g exceeds endpoint maximum %.6g at rate %g"
-                % (worst, gamma, lam)
-            )
+    omegas = coarse_grid(ss.poles(), 64)
+    side = strip_maximum(ss, strip, lo_cert.gamma, hi_cert.gamma, omegas)
+    best = lo_cert if side == "lo" else hi_cert
     return GainCertificate(
-        gamma=gamma,
+        gamma=best.gamma,
         rate=best.rate,
         p=p,
         P=best.P,

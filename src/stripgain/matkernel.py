@@ -46,6 +46,15 @@ def eig(A) -> np.ndarray:
     return np.sort_complex(w)
 
 
+def schur_complex(A) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form A = Z T Z^H: (T upper triangular, Z unitary)."""
+    M = as_square_matrix(A)
+    try:
+        return sla.schur(M, output="complex")
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NumericalFailure("Schur reduction failed: %s" % exc) from exc
+
+
 def sym_eig(M) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix.
 

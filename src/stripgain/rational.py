@@ -19,13 +19,12 @@ import numpy.polynomial.polynomial as npp
 
 from . import matkernel
 from .errors import InvalidInput, NumericalFailure, PoleInStrip, PoleProximity
-from .regions import Strip
+from .regions import TAU_LINE, Strip
 
 TAU_ROOT = 1e-8
 TAU_GCD = 1e-9
 TAU_EVAL = 1e-9
 TAU_POLE = 1e-9
-TAU_LINE = 1e-8
 
 # relative tolerance for merging nearly equal denominator roots into one
 # higher-order pole; companion-matrix roots of an m-fold root scatter by

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 
 from .errors import InvalidInput
 
+# relative distance, 1e-8 * (1 + |Re|), within which a pole or eigenvalue
+# counts as sitting on a rate line or a strip boundary
+TAU_LINE = 1e-8
+
 
 @dataclass(frozen=True)
 class Line:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,9 +24,8 @@ from .errors import (
     WindowTooShort,
 )
 from .rational import Polynomial, RationalFunction
-from .regions import Line, Strip
+from .regions import TAU_LINE, Line, Strip
 
-TAU_LINE = 1e-8
 TAU_TAIL = 1e-6
 
 # number of interior rates sampled (in addition to the two endpoints) when a
@@ -96,6 +96,16 @@ class StateSpace:
 
     def poles(self) -> np.ndarray:
         return matkernel.eig(self.A)
+
+    @cached_property
+    def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(T, Z^H B, C Z) for the complex Schur form A = Z T Z^H.
+
+        Computed once per system (the matrices are read-only); frequency
+        responses back-substitute through sI - T.
+        """
+        T, Z = matkernel.schur_complex(self.A)
+        return T, Z.conj().T @ self.B, self.C @ Z
 
     def __repr__(self):
         return "StateSpace(n=%d, inputs=%d, outputs=%d)" % (

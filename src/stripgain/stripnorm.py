@@ -5,14 +5,14 @@ a refined frequency grid (certified lower bound) and a bisection on the level
 parameter of a Hamiltonian matrix whose imaginary-axis eigenvalues flag level
 crossings (two-sided bracket).  A function bounded on a strip attains its
 supremum on the boundary, so strip norms reduce to the two boundary lines
-plus an interior spot check.
+plus an interior spot check.  The supremum norms and the response tables
+take a transfer function or a state-space model and evaluate it through
+``frequency_response``.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +23,13 @@ from .errors import (
     ImproperTransferFunction,
     InvalidInput,
     NumericalFailure,
+    PoleInStrip,
     PoleOnLine,
 )
-from .rational import Polynomial, RationalFunction, partial_fractions, pole_partition, recombine
-from .regions import Line, Strip
+from .rational import Polynomial, RationalFunction, partial_fractions, recombine
+from .regions import TAU_LINE, Line, Strip
 from .statespace import StateSpace, modal_split, realize, require_siso
 
-TAU_LINE = 1e-8
 TAU_HAM = 1e-7
 
 GRID_POINTS = 512
@@ -61,41 +61,50 @@ class NormResult:
     boundary_values: tuple[float, float] | None = None
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("STRIPGAIN_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _poles(system: StateSpace | RationalFunction) -> np.ndarray:
+    return system.poles if isinstance(system, RationalFunction) else system.poles()
 
 
-def _line_pole_guard(G: RationalFunction, line: Line) -> None:
-    for p in G.poles:
-        if abs(p.real + line.lam) <= TAU_LINE * (1.0 + abs(p.real)):
-            raise PoleOnLine(
-                "pole %s lies on the line Re(s) = %g" % (p, line.real_part)
+def _pole_guard(poles: np.ndarray, region: Line | Strip) -> None:
+    """Reject a pole within TAU_LINE * (1 + |Re|) of a line or closed strip."""
+    lo, hi = (region.lam, region.lam) if isinstance(region, Line) else (region.lo, region.hi)
+    for p in poles:
+        tol = TAU_LINE * (1.0 + abs(p.real))
+        if -hi - tol <= p.real <= -lo + tol:
+            if isinstance(region, Line):
+                raise PoleOnLine("pole %s lies on the line Re(s) = %g" % (p, -lo))
+            raise PoleInStrip(
+                "pole %s lies in or on the strip Re(s) in [%g, %g]" % (p, -hi, -lo)
             )
 
 
-def _magnitudes(G: RationalFunction, lam: float, omegas: np.ndarray) -> np.ndarray:
+def frequency_response(system: StateSpace | RationalFunction, lam: float, omegas):
+    """Complex G(-lam + i omega) at each omega, in the shape of omegas.
+
+    A RationalFunction is evaluated from its coefficients.  A StateSpace is
+    reduced once to complex Schur form A = Z T Z^H (cached on the system);
+    each frequency then costs one O(n^2) back-substitution through sI - T,
+    vectorised over the frequencies.
+    """
     s = -lam + 1j * omegas
-    workers = _thread_count()
-    if workers > 1 and omegas.size >= 256:
-        chunks = np.array_split(s, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: np.abs(G.eval_unchecked(c)), chunks))
-        return np.concatenate(parts)
-    return np.abs(G.eval_unchecked(s))
+    if isinstance(system, RationalFunction):
+        return system.eval_unchecked(s)
+    require_siso(system, "frequency_response")
+    T, b, c = system.schur
+    s = np.asarray(s)
+    flat = s.reshape(-1)
+    X = np.empty((system.n, flat.size), dtype=complex)
+    for i in range(system.n - 1, -1, -1):
+        X[i] = (b[i, 0] + T[i, i + 1 :] @ X[i + 1 :]) / (flat - T[i, i])
+    return (c[0] @ X + system.D[0, 0]).reshape(s.shape)
 
 
-def default_grid(G: RationalFunction) -> np.ndarray:
-    """Logarithmic frequency grid augmented with pole resonance frequencies."""
-    pts = [np.array([0.0]), np.logspace(
-        math.log10(GRID_OMEGA_MIN), math.log10(GRID_OMEGA_MAX), GRID_POINTS
-    )]
-    imag = np.abs(G.poles.imag)
-    pts.append(imag[imag > 0.0])
-    return np.unique(np.concatenate(pts))
+def coarse_grid(poles: np.ndarray, points: int) -> np.ndarray:
+    """Frequency 0, a log grid of the given size over [GRID_OMEGA_MIN,
+    GRID_OMEGA_MAX], and the pole resonance frequencies, sorted."""
+    imag = np.abs(poles.imag)
+    log = np.logspace(math.log10(GRID_OMEGA_MIN), math.log10(GRID_OMEGA_MAX), points)
+    return np.unique(np.concatenate([np.array([0.0]), log, imag[imag > 0.0]]))
 
 
 def _golden_max(f, a: float, b: float):
@@ -124,8 +133,15 @@ def _golden_max(f, a: float, b: float):
     return best_w, best_v
 
 
+def _local_maxima(vals: np.ndarray) -> np.ndarray:
+    """Ascending indices k with vals[k] >= both neighbours (a missing
+    neighbour counts as -inf)."""
+    padded = np.concatenate([[-math.inf], vals, [-math.inf]])
+    return np.flatnonzero((vals >= padded[:-2]) & (vals >= padded[2:]))
+
+
 def line_norm_grid(
-    G: RationalFunction, line: Line, grid: np.ndarray | None = None
+    system: StateSpace | RationalFunction, line: Line, grid: np.ndarray | None = None
 ) -> NormResult:
     """Grid estimate (lower bound) of sup |G| on a vertical line.
 
@@ -133,40 +149,42 @@ def line_norm_grid(
     search on their bracketing grid intervals; for a biproper G the limiting
     value at infinite frequency competes as a candidate as well.
     """
-    if not G.is_proper:
-        raise ImproperTransferFunction("|G| is unbounded on every vertical line")
-    _line_pole_guard(G, line)
-    omegas = default_grid(G) if grid is None else np.unique(
+    if isinstance(system, RationalFunction):
+        if not system.is_proper:
+            raise ImproperTransferFunction("|G| is unbounded on every vertical line")
+        G = system
+        limit = abs(G.num.lead / G.den.lead) if G.num_degree == G.den_degree else 0.0
+    else:
+        require_siso(system, "line_norm_grid")
+        limit = abs(float(system.D[0, 0]))
+    poles = _poles(system)
+    _pole_guard(poles, line)
+    omegas = coarse_grid(poles, GRID_POINTS) if grid is None else np.unique(
         np.abs(np.asarray(grid, dtype=float))
     )
     if omegas.size < 2:
         raise InvalidInput("frequency grid needs at least two points")
-    vals = _magnitudes(G, line.lam, omegas)
+    vals = np.abs(frequency_response(system, line.lam, omegas))
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("magnitude overflow on the frequency grid")
     best_w = float(omegas[int(np.argmax(vals))])
     best_v = float(np.max(vals))
 
     def f(w: float) -> float:
-        return float(np.abs(G.eval_unchecked(-line.lam + 1j * w)))
+        return float(np.abs(frequency_response(system, line.lam, w)))
 
     n = omegas.size
-    for k in range(n):
-        left = vals[k - 1] if k > 0 else -math.inf
-        right = vals[k + 1] if k < n - 1 else -math.inf
-        if vals[k] >= left and vals[k] >= right:
-            a = omegas[max(k - 1, 0)]
-            b = omegas[min(k + 1, n - 1)]
-            if b > a:
-                w, v = _golden_max(f, float(a), float(b))
-                if v > best_v:
-                    best_w, best_v = w, v
+    for k in _local_maxima(vals):
+        a = omegas[max(k - 1, 0)]
+        b = omegas[min(k + 1, n - 1)]
+        if b > a:
+            w, v = _golden_max(f, float(a), float(b))
+            if v > best_v:
+                best_w, best_v = w, v
     peak = best_w
-    if G.num_degree == G.den_degree:
-        limit = abs(G.num.lead / G.den.lead)
-        if limit > best_v:
-            best_v = limit
-            peak = math.inf
+    if limit > best_v:
+        best_v = limit
+        peak = math.inf
     return NormResult(value=best_v, method="grid", peak_frequency=peak)
 
 
@@ -210,19 +228,6 @@ def _crossing_state(H: np.ndarray):
     return "clear", w
 
 
-def _ss_line_mag(ss: StateSpace, lam: float, omegas) -> np.ndarray:
-    At = ss.A + lam * np.eye(ss.n)
-    d = float(ss.D[0, 0])
-    out = np.empty(len(omegas))
-    for k, w in enumerate(omegas):
-        if ss.n:
-            x = np.linalg.solve(1j * w * np.eye(ss.n) - At, ss.B[:, 0])
-            out[k] = abs(complex(ss.C[0, :] @ x) + d)
-        else:
-            out[k] = abs(d)
-    return out
-
-
 def line_norm_bisection(
     system: StateSpace | RationalFunction, line: Line, tol: float = 1e-6
 ) -> NormResult:
@@ -245,21 +250,10 @@ def line_norm_bisection(
         return NormResult(
             value=d, method="bisection", peak_frequency=0.0, tolerance=tol, bracket=(d, d)
         )
-    eigs = matkernel.eig(ss.A)
-    for mu in eigs:
-        if abs(mu.real + line.lam) <= TAU_LINE * (1.0 + abs(mu.real)):
-            raise PoleOnLine("system pole %s lies on the line Re(s) = %g" % (mu, -line.lam))
-
-    coarse = np.unique(
-        np.concatenate(
-            [
-                np.array([0.0]),
-                np.logspace(math.log10(GRID_OMEGA_MIN), math.log10(GRID_OMEGA_MAX), 64),
-                np.abs(eigs.imag[np.abs(eigs.imag) > 0]),
-            ]
-        )
-    )
-    vals = _ss_line_mag(ss, line.lam, coarse)
+    eigs = ss.poles()
+    _pole_guard(eigs, line)
+    coarse = coarse_grid(eigs, 64)
+    vals = np.abs(frequency_response(ss, line.lam, coarse))
     probe_val = float(np.max(vals))
     probe_omega = float(coarse[int(np.argmax(vals))])
     est = max(probe_val, d)
@@ -311,7 +305,7 @@ def line_norm_bisection(
 
     if cross_omegas:
         cands = np.abs(np.concatenate(cross_omegas))
-        mags = _ss_line_mag(ss, line.lam, cands)
+        mags = np.abs(frequency_response(ss, line.lam, cands))
         peak = float(cands[int(np.argmax(mags))])
     elif d >= probe_val and ss.D[0, 0] != 0.0:
         peak = math.inf
@@ -340,16 +334,41 @@ def singular_value_test(
     return smin <= TAU_HAM * max(1.0, float(np.linalg.norm(H)))
 
 
-def _line_norm(G: RationalFunction, line: Line, method: str, tol: float) -> NormResult:
+def _line_norm(system, line: Line, method: str, tol: float) -> NormResult:
     if method == "grid":
-        return line_norm_grid(G, line)
+        return line_norm_grid(system, line)
     if method == "bisection":
-        return line_norm_bisection(G, line, tol)
+        return line_norm_bisection(system, line, tol)
     raise InvalidInput("unknown method %r (expected 'grid' or 'bisection')" % method)
 
 
+def strip_maximum(
+    system: StateSpace | RationalFunction,
+    strip: Strip,
+    lo_value: float,
+    hi_value: float,
+    omegas: np.ndarray,
+) -> str:
+    """Side ('lo' or 'hi') of the larger boundary value, after spot-checking
+    the boundary-maximum principle: |G| at five interior rates, sampled at
+    omegas, may exceed that value by at most maxmod_slack of it."""
+    value = max(lo_value, hi_value)
+    slack = maxmod_slack(value)
+    for lam in strip.interior_rates(5):
+        worst = float(np.max(np.abs(frequency_response(system, lam, omegas))))
+        if worst > value + slack:
+            raise NumericalFailure(
+                "interior magnitude %.6g exceeds boundary maximum %.6g at rate %g"
+                % (worst, value, lam)
+            )
+    return "lo" if lo_value >= hi_value else "hi"
+
+
 def strip_norm(
-    G: RationalFunction, strip: Strip, method: str = "bisection", tol: float = 1e-6
+    system: StateSpace | RationalFunction,
+    strip: Strip,
+    method: str = "bisection",
+    tol: float = 1e-6,
 ) -> NormResult:
     """Supremum of |G| over a strip with no poles in its closure.
 
@@ -357,17 +376,11 @@ def strip_norm(
     sample grid then cross-checks the boundary-maximum principle to within
     maxmod_slack of the reported value.
     """
-    if not G.is_proper:
+    if isinstance(system, RationalFunction) and not system.is_proper:
         raise ImproperTransferFunction("|G| is unbounded on every vertical strip")
-    pole_partition(G, strip)
-    lo_res = _line_norm(G, strip.lower_line, method, tol)
-    hi_res = _line_norm(G, strip.upper_line, method, tol)
-    if lo_res.value >= hi_res.value:
-        attaining, att_res = "lo", lo_res
-    else:
-        attaining, att_res = "hi", hi_res
-    value = att_res.value
-
+    _pole_guard(_poles(system), strip)
+    lo_res = _line_norm(system, strip.lower_line, method, tol)
+    hi_res = _line_norm(system, strip.upper_line, method, tol)
     peaks = [
         r.peak_frequency
         for r in (lo_res, hi_res)
@@ -375,17 +388,10 @@ def strip_norm(
     ]
     base = max(peaks) if peaks else 1.0
     omegas = np.unique(np.array([0.0, 0.5 * base, base, 2.0 * base, 4.0 * base]))
-    slack = maxmod_slack(value)
-    for lam in strip.interior_rates(5):
-        mags = _magnitudes(G, lam, omegas)
-        worst = float(np.max(mags))
-        if worst > value + slack:
-            raise NumericalFailure(
-                "interior magnitude %.6g exceeds boundary maximum %.6g at rate %g"
-                % (worst, value, lam)
-            )
+    attaining = strip_maximum(system, strip, lo_res.value, hi_res.value, omegas)
+    att_res = lo_res if attaining == "lo" else hi_res
     return NormResult(
-        value=value,
+        value=att_res.value,
         method=method,
         peak_frequency=att_res.peak_frequency,
         tolerance=att_res.tolerance,
@@ -407,7 +413,7 @@ def h2_line_norm(G: RationalFunction, line: Line) -> float:
         return 0.0
     if not G.is_strictly_proper:
         raise DivergentIntegral("line energy norm diverges unless strictly proper")
-    _line_pole_guard(G, line)
+    _pole_guard(G.poles, line)
     ss = realize(G)
     shifted = StateSpace(ss.A + line.lam * np.eye(ss.n), ss.B, ss.C, ss.D)
     split = modal_split(shifted, Line(0.0))
@@ -434,7 +440,7 @@ def decompose_line(G: RationalFunction, line: Line):
     """
     if not G.is_strictly_proper:
         raise ImproperTransferFunction("line decomposition needs a strictly proper G")
-    _line_pole_guard(G, line)
+    _pole_guard(G.poles, line)
     _, terms = partial_fractions(G)
     mterms = [t for t in terms if t.pole.real < -line.lam]
     pterms = [t for t in terms if t.pole.real > -line.lam]
@@ -445,17 +451,17 @@ def decompose_line(G: RationalFunction, line: Line):
 
 
 def frequency_response_data(
-    G: RationalFunction, line: Line, omegas, uncertainty: float = 0.0
+    system: StateSpace | RationalFunction, line: Line, omegas, uncertainty: float = 0.0
 ) -> np.ndarray:
     """Tabulate G along a line: rows (omega, re, im, mag, uncertainty * mag)."""
     if uncertainty < 0:
         raise InvalidInput("uncertainty scale must be >= 0")
-    _line_pole_guard(G, line)
+    _pole_guard(_poles(system), line)
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InvalidInput("omegas must be a non-empty 1-D array")
     if not np.all(np.isfinite(w)):
         raise InvalidInput("omegas must be finite")
-    z = G.eval_unchecked(-line.lam + 1j * w)
+    z = frequency_response(system, line.lam, w)
     mag = np.abs(z)
     return np.column_stack([w, z.real, z.imag, mag, uncertainty * mag])

@@ -221,3 +221,92 @@ def test_example_sec5_large_lag_not_confirmed(capsys):
     code, out = run(capsys, ["example-sec5", "--tau", "10", "--slopes", "3"])
     assert code == 2
     assert out.strip().endswith("robust 2-dominance: NOT CONFIRMED")
+
+
+def random_stable_ss(seed, n):
+    """Stable SISO model in a random basis of condition number at most 4:
+    poles with Re in [-4, -0.6] and |Im| up to 4, Gaussian B and C."""
+    rng = np.random.default_rng(seed)
+    blocks, k = [], 0
+    while k < n:
+        re = rng.uniform(-4.0, -0.6)
+        if n - k >= 2 and rng.random() < 0.5:
+            im = rng.uniform(0.1, 4.0)
+            blocks.append([[re, im], [-im, re]])
+            k += 2
+        else:
+            blocks.append([[re]])
+            k += 1
+    A0 = np.zeros((n, n))
+    k = 0
+    for b in blocks:
+        A0[k : k + len(b), k : k + len(b)] = b
+        k += len(b)
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0] * rng.uniform(0.5, 2.0, n)
+    A = V @ A0 @ np.linalg.inv(V)
+    B = rng.standard_normal((n, 1))
+    C = rng.standard_normal((1, n))
+    return {"kind": "ss", "A": A.tolist(), "B": B.tolist(), "C": C.tolist(), "D": [[0.0]]}
+
+
+@pytest.fixture
+def stable_ss10(tmp_path):
+    return write_model(tmp_path / "ss10.json", random_stable_ss(0, 10))
+
+
+def test_norm_on_ss_agrees_with_gain(capsys, stable_ss10):
+    # A transfer-function round trip of this realization puts the line norm
+    # near 592; the supremum is about 1.0714.
+    code, norm = run_json(capsys, ["norm", stable_ss10, "--line", "0"])
+    assert code == 0
+    code, gain = run_json(capsys, ["gain", stable_ss10, "--p", "0", "--line", "0"])
+    assert code == 0
+    tol = norm["results"]["tolerance"]
+    assert norm["results"]["value"] == pytest.approx(gain["results"]["gamma"], abs=tol)
+    code, grid = run_json(capsys, ["norm", stable_ss10, "--line", "0", "--method", "grid"])
+    assert code == 0
+    assert grid["results"]["value"] <= norm["results"]["bracket"][1]
+
+
+def test_norm_strip_and_tables_on_ss(capsys, tmp_path, stable_ss10):
+    tf = write_model(
+        tmp_path / "tf.json", {"kind": "tf", "num": [1.0], "den": [2.0, 3.0, 1.0]}
+    )
+    ss = write_model(
+        tmp_path / "ss.json",
+        {"kind": "ss", "A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0], [1.0]],
+         "C": [[1.0, -1.0]], "D": [[0.0]]},
+    )
+    code, a = run_json(capsys, ["norm", tf, "--strip", "0,0.5"])
+    code2, b = run_json(capsys, ["norm", ss, "--strip", "0,0.5"])
+    assert code == code2 == 0
+    assert b["results"]["value"] == pytest.approx(a["results"]["value"], abs=1e-6)
+    for verb in ("nyquist", "bode"):
+        _, out_tf = run(capsys, [verb, tf, "--line", "0.5", "--points", "9"])
+        _, out_ss = run(capsys, [verb, ss, "--line", "0.5", "--points", "9"])
+        rows_tf = np.array([r.split(",") for r in out_tf.splitlines()[1:]], dtype=float)
+        rows_ss = np.array([r.split(",") for r in out_ss.splitlines()[1:]], dtype=float)
+        assert np.allclose(rows_ss, rows_tf, rtol=1e-12, atol=1e-12)
+    code, out = run(capsys, ["norm", stable_ss10, "--strip", "1,4"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "PoleInStrip"
+
+
+def test_gain_warns_when_certificate_is_null(capsys, tmp_path, unstable):
+    # 1/((s+1)(s+2)...(s+6)): the Riccati construction finds no certificate
+    # that verifies for this companion realization.
+    model = write_model(
+        tmp_path / "g6.json",
+        {"kind": "tf", "num": [1.0],
+         "den": [720.0, 1764.0, 1624.0, 735.0, 175.0, 21.0, 1.0]},
+    )
+    code, env = run_json(capsys, ["gain", model, "--p", "0", "--line", "0", "--certificate"])
+    assert code == 0
+    assert env["results"]["certificate"] is None
+    assert any("certificate" in w for w in env["warnings"])
+    code, env = run_json(
+        capsys, ["gain", unstable, "--p", "1", "--line", "0.5", "--certificate"]
+    )
+    assert code == 0
+    assert env["results"]["certificate"] is not None
+    assert env["warnings"] == []

@@ -1,0 +1,114 @@
+"""Hypothesis properties of the state-space norm path.
+
+Models are drawn from a seed so that every example is a well-conditioned
+realization: poles keep a margin from the rate lines and strips analyzed,
+and the basis has condition number at most 4.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stripgain import (
+    Line,
+    RationalFunction,
+    StateSpace,
+    Strip,
+    line_norm_bisection,
+    line_norm_grid,
+    realize,
+    strip_norm,
+)
+
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+MARGIN = 0.3
+
+
+def _poles(rng, n, lo, hi, unstable):
+    """n poles (conjugate pairs allowed) with real parts outside the closed
+    rate band [lo, hi] widened by MARGIN; right of it only when unstable."""
+    out = []
+    while len(out) < n:
+        if unstable and rng.random() < 0.4:
+            re = rng.uniform(-lo + MARGIN, 2.0)
+        else:
+            re = rng.uniform(-hi - 4.0, -hi - MARGIN)
+        if n - len(out) >= 2 and rng.random() < 0.5:
+            im = rng.uniform(0.1, 4.0)
+            out += [complex(re, im), complex(re, -im)]
+        else:
+            out.append(complex(re, 0.0))
+    return out
+
+
+def _block_form(poles):
+    """Real block-diagonal matrix with the given (conjugate-closed) spectrum."""
+    n = len(poles)
+    A = np.zeros((n, n))
+    k = 0
+    while k < n:
+        p = poles[k]
+        if p.imag:
+            A[k : k + 2, k : k + 2] = [[p.real, p.imag], [-p.imag, p.real]]
+            k += 2
+        else:
+            A[k, k] = p.real
+            k += 1
+    return A
+
+
+def _change_basis(rng, A, B, C, D):
+    n = A.shape[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0] * rng.uniform(0.5, 2.0, n)
+    Vi = np.linalg.inv(V)
+    return StateSpace(V @ A @ Vi, V @ B, C @ Vi, D)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    unstable=st.booleans(),
+)
+def test_grid_never_exceeds_bisection_bracket_top(seed, n, unstable):
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.0, 1.0)
+    A = _block_form(_poles(rng, n, lam, lam, unstable))
+    ss = _change_basis(
+        rng, A, rng.standard_normal((n, 1)), rng.standard_normal((1, n)), [[0.0]]
+    )
+    grid = line_norm_grid(ss, Line(lam))
+    lo, hi = line_norm_bisection(ss, Line(lam)).bracket
+    assert grid.value <= hi
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    order=st.integers(1, 3),
+    hidden=st.integers(0, 27),
+    unstable=st.booleans(),
+)
+def test_strip_norm_of_ss_matches_its_transfer_function(seed, order, hidden, unstable):
+    """A low-order G realized with extra uncontrollable states in a mixed
+    basis has the strip norm of G itself."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 1.0)
+    strip = Strip(lo, lo + rng.uniform(0.5, 1.5))
+    poles = _poles(rng, order, strip.lo, strip.hi, unstable)
+    den = np.real(np.polynomial.polynomial.polyfromroots(poles))
+    G = RationalFunction(rng.standard_normal(int(rng.integers(1, order + 1))), den)
+    core = realize(G)
+    n = core.n + hidden
+    A = np.zeros((n, n))
+    A[: core.n, : core.n] = core.A
+    A[: core.n, core.n :] = rng.standard_normal((core.n, hidden))
+    A[core.n :, core.n :] = _block_form(_poles(rng, hidden, strip.lo, strip.hi, unstable))
+    B = np.vstack([core.B, np.zeros((hidden, 1))])
+    C = np.hstack([core.C, rng.standard_normal((1, hidden))])
+    ss = _change_basis(rng, A, B, C, core.D)
+
+    want = strip_norm(G, strip)
+    got = strip_norm(ss, strip)
+    assert got.value == pytest.approx(want.value, abs=2.0 * want.tolerance)

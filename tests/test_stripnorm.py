@@ -189,3 +189,42 @@ def test_frequency_response_data_columns():
     assert np.allclose(data[:, 2], z.imag)
     assert np.allclose(data[:, 3], np.abs(z))
     assert np.allclose(data[:, 4], 0.5 * np.abs(z))
+
+
+def test_local_maxima_match_neighbour_scan():
+    from stripgain.stripnorm import _local_maxima
+
+    rng = np.random.default_rng(4)
+    cases = [rng.integers(0, 3, 40).astype(float), rng.standard_normal(25), np.ones(5)]
+    for vals in cases + [np.array([1.0])]:
+        n = len(vals)
+        want = [
+            k
+            for k in range(n)
+            if (k == 0 or vals[k] >= vals[k - 1]) and (k == n - 1 or vals[k] >= vals[k + 1])
+        ]
+        assert _local_maxima(vals).tolist() == want
+
+
+def test_frequency_response_of_ss_matches_direct_solve():
+    from stripgain import StateSpace
+    from stripgain.stripnorm import frequency_response
+
+    rng = np.random.default_rng(8)
+    n = 12
+    ss = StateSpace(
+        rng.standard_normal((n, n)) - 4.0 * np.eye(n),
+        rng.standard_normal((n, 1)),
+        rng.standard_normal((1, n)),
+        [[0.3]],
+    )
+    lam = 0.5
+    w = np.array([0.0, 0.1, 1.0, 3.0, 40.0])
+    want = [
+        complex(ss.C[0] @ np.linalg.solve((-lam + 1j * wk) * np.eye(n) - ss.A, ss.B[:, 0])) + 0.3
+        for wk in w
+    ]
+    assert np.allclose(frequency_response(ss, lam, w), want, rtol=1e-12, atol=0.0)
+    assert frequency_response(ss, lam, 1.0) == pytest.approx(want[2], rel=1e-12)
+    static = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-2.0]])
+    assert np.array_equal(frequency_response(static, lam, w), np.full(5, -2.0 + 0j))
