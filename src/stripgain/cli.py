@@ -23,6 +23,7 @@ from .dominance import (
     dominance_check,
     l2p_gain,
     feedback_compose,
+    require_dominance,
     sector_slope_gain,
     small_gain_check,
     strip_gain,
@@ -47,12 +48,7 @@ from .modelio import float_repr, json_text, load_model, sha256_hex
 from .rational import Polynomial, RationalFunction
 from .regions import Line, Strip
 from .statespace import realize, tf_of
-from .stripnorm import (
-    frequency_response_data,
-    line_norm_bisection,
-    line_norm_grid,
-    strip_norm,
-)
+from .stripnorm import _line_norm, frequency_response_data, strip_norm
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 2
@@ -184,10 +180,7 @@ def cmd_norm(args) -> int:
     kind, system, digest = load_model(args.model)
     region = _region_from_args(args, warnings)
     if isinstance(region, Line):
-        if args.method == "grid":
-            res = line_norm_grid(system, region)
-        else:
-            res = line_norm_bisection(system, region, args.tol)
+        res = _line_norm(system, region, args.method, args.tol)
         results = {"mode": "line", "rate": region.lam, "real_part": region.real_part}
         results.update(_norm_result_fields(res))
     else:
@@ -316,15 +309,25 @@ def _csv_lines(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_text(path: str, text: str) -> str:
+    """Write text to path and return its sha256; a failed write is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInput("cannot write %s: %s" % (path, exc)) from exc
+    return sha256_hex(text.encode())
+
+
+def _min_critical_margin(data: np.ndarray) -> float:
+    """Smallest distance from -1 to a response table's uncertainty disks."""
+    return float(np.min(np.abs(data[:, 1] + 1j * data[:, 2] + 1.0) - data[:, 4]))
+
+
 def _write_csv(args, command, inputs, header, rows, extra_results, warnings, notes) -> int:
     text = _csv_lines(header, rows)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InvalidInput("cannot write %s: %s" % (args.out, exc)) from exc
-        results = {"rows": len(rows), "path": args.out, "sha256": sha256_hex(text.encode())}
+        results = {"rows": len(rows), "path": args.out, "sha256": _write_text(args.out, text)}
         results.update(extra_results)
         _emit(_envelope(command, inputs, results, warnings, notes))
     else:
@@ -338,8 +341,7 @@ def cmd_nyquist(args) -> int:
     line = Line(args.line)
     omegas = _response_grid(args)
     data = frequency_response_data(system, line, omegas, uncertainty=args.uncertainty)
-    margins = np.abs(data[:, 1] + 1j * data[:, 2] + 1.0) - data[:, 4]
-    min_margin = float(np.min(margins))
+    min_margin = _min_critical_margin(data)
     extra = {
         "rate": line.lam,
         "uncertainty": args.uncertainty,
@@ -537,7 +539,7 @@ def cmd_example_sec5(args) -> int:
     for lam in rates:
         entry = {"rate": lam}
         try:
-            dominance_check(closed, 2, lam)
+            require_dominance(closed, 2, lam)
             entry["right_of_line"] = 2
             entry["dominant"] = True
         except NotPDominant as exc:
@@ -598,19 +600,14 @@ def cmd_example_sec5(args) -> int:
         omegas = np.concatenate([[0.0], np.logspace(-2.0, 2.0, 199)])
         radius = lag_results["gamma"] if lag_results else 0.0
         data = frequency_response_data(ret, strip.lower_line, omegas, uncertainty=radius)
-        text = _csv_lines(NYQUIST_HEADER, data)
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InvalidInput("cannot write %s: %s" % (args.out, exc)) from exc
-        margins = np.abs(data[:, 1] + 1j * data[:, 2] + 1.0) - data[:, 4]
+        sha = _write_text(args.out, _csv_lines(NYQUIST_HEADER, data))
+        min_margin = _min_critical_margin(data)
         results["nyquist"] = {
             "path": args.out,
             "rows": len(data),
-            "sha256": sha256_hex(text.encode()),
-            "min_critical_margin": float(np.min(margins)),
-            "critical_point_excluded": bool(float(np.min(margins)) > 0.0),
+            "sha256": sha,
+            "min_critical_margin": min_margin,
+            "critical_point_excluded": bool(min_margin > 0.0),
         }
 
     _emit(_envelope("example-sec5", [], results, warnings, notes))

@@ -66,13 +66,12 @@ def _shifted(ss: StateSpace, lam: float) -> np.ndarray:
     return ss.A + lam * np.eye(ss.n)
 
 
-def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate:
-    """Verify p-dominance at the given rate and build a certificate.
+def require_dominance(ss: StateSpace, p: int, rate: float) -> None:
+    """Check p-dominance at the given rate by counting eigenvalues.
 
-    Counts eigenvalues of A + rate*I right of the imaginary axis (an
+    Counts eigenvalues of A + rate*I right of the imaginary axis: an
     eigenvalue numerically on the axis raises MarginalRate, a count other
-    than p raises NotPDominant) and assembles P from Lyapunov solutions of
-    the two split blocks.
+    than p raises NotPDominant.  No certificate is built.
     """
     if not isinstance(ss, StateSpace):
         raise InvalidInput("dominance_check expects a StateSpace")
@@ -80,15 +79,11 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
         raise InvalidInput("p must lie in [0, %d], got %d" % (ss.n, p))
     if not math.isfinite(rate) or rate < 0:
         raise InvalidInput("rate must be finite and >= 0")
-    n = ss.n
-    if n == 0:
+    if ss.n == 0:
         if p != 0:
             raise NotPDominant("static system has no dynamic modes", expected=p, actual=0)
-        return DominanceCertificate(
-            P=np.zeros((0, 0)), epsilon=0.0, lmi_residual=0.0, p=0, rate=rate
-        )
-    At = _shifted(ss, rate)
-    eigs = matkernel.eig(At)
+        return
+    eigs = matkernel.eig(_shifted(ss, rate))
     for mu in eigs:
         if abs(mu.real) <= TAU_LINE * (1.0 + abs(mu.real)):
             raise MarginalRate(
@@ -102,6 +97,21 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
             expected=p,
             actual=count,
         )
+
+
+def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate:
+    """Verify p-dominance at the given rate and build a certificate.
+
+    After the eigenvalue count of require_dominance, assembles P from
+    Lyapunov solutions of the two split blocks.
+    """
+    require_dominance(ss, p, rate)
+    n = ss.n
+    if n == 0:
+        return DominanceCertificate(
+            P=np.zeros((0, 0)), epsilon=0.0, lmi_residual=0.0, p=0, rate=rate
+        )
+    At = _shifted(ss, rate)
     T, A_plus, A_minus, psplit = matkernel.split_spectrum(At, 0.0, 0.0, TAU_LINE)
     if psplit != p:
         raise NumericalFailure("spectral split disagrees with eigenvalue count")
@@ -210,7 +220,7 @@ def _riccati_certificate(
     """
     n = ss.n
     d = abs(float(ss.D[0, 0]))
-    # The bisection bracket is an absolute enclosure, so for small gains the
+    # The level-search bracket is an absolute enclosure, so for small gains the
     # returned midpoint may miss the supremum by more than a relative bump;
     # build from the bracket top when it is available.
     base_gamma = max(gamma, gamma_hi) if gamma_hi is not None else gamma
@@ -262,11 +272,11 @@ def l2p_gain(
     """Weighted gain of a p-dominant system at one rate.
 
     Dominance at the rate is checked first; the gain itself equals the
-    supremum of |G| on the line, computed by Hamiltonian bisection.
+    supremum of |G| on the line, computed by the Hamiltonian level iteration.
     """
     ss = realize(system) if isinstance(system, RationalFunction) else system
     require_siso(ss, "l2p_gain")
-    dominance_check(ss, p, line.lam)
+    require_dominance(ss, p, line.lam)
     res = line_norm_bisection(ss, line, tol)
     P = None
     eps = 0.0
@@ -307,7 +317,7 @@ def strip_gain(
     lo_cert = l2p_gain(ss, p, strip.lower_line, tol, with_certificate)
     hi_cert = l2p_gain(ss, p, strip.upper_line, tol, with_certificate)
     for lam in strip.interior_rates(5):
-        dominance_check(ss, p, lam)
+        require_dominance(ss, p, lam)
     omegas = coarse_grid(ss.poles(), 64)
     side = strip_maximum(ss, strip, lo_cert.gamma, hi_cert.gamma, omegas)
     best = lo_cert if side == "lo" else hi_cert
@@ -490,7 +500,7 @@ def sector_slope_gain(
     for slope in slopes:
         closed = slope_closed_loop(loop, float(slope))
         try:
-            dominance_check(closed, p, line.lam)
+            require_dominance(closed, p, line.lam)
         except NotPDominant as exc:
             raise NotPDominantAtSlope(
                 "closed loop at slope %g is not %d-dominant at rate %g (%s)"

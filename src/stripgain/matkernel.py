@@ -18,10 +18,8 @@ from .errors import (
     SingularSylvester,
 )
 
-TAU_EIG = 1e-9
 TAU_SYM = 1e-12
 TAU_LYAP = 1e-9
-TAU_EXP = 1e-10
 
 
 def as_square_matrix(A, name="A") -> np.ndarray:

@@ -69,7 +69,3 @@ class Strip:
             return []
         step = (self.hi - self.lo) / (count + 1)
         return [self.lo + step * (k + 1) for k in range(count)]
-
-    def contains_real_part(self, x: float, margin: float = 0.0) -> bool:
-        """Whether Re(s) = x lies in the closed strip widened by margin."""
-        return -self.hi - margin <= x <= -self.lo + margin

@@ -23,6 +23,7 @@ from stripgain import (
     slope_closed_loop,
     small_gain_check,
     strip_gain,
+    strip_norm,
     tf_of,
     verify_gain_lmi,
 )
@@ -204,3 +205,26 @@ def test_sector_slope_gain_flags_failing_slope():
         sector_slope_gain(loop, 0, Line(0.0), 1e-6, n_slopes=11)
     assert info.value.slope == pytest.approx(1.2)
     assert info.value.actual == 1
+
+
+def test_strip_gain_needs_no_certificate_of_dominance():
+    # degree 8, one pole at +0.17 and seven at Re <= -4.76; at these rates
+    # the dominance certificate has a near-zero eigenvalue, but a gain only
+    # needs the eigenvalue count
+    G = RationalFunction(
+        [
+            3.9264279685732659, 88.87398613359936, -53.484650214658032,
+            -51.407777190685245, -30.286840442215933, -1.1977501076490453,
+            -33.659839327580137, 39.539767519297925,
+        ],
+        [
+            -23323.829083935467, 107555.97787932526, 158138.86527279366,
+            90517.021633222961, 28285.744127330305, 5285.7318859186062,
+            593.39163517432598, 37.130029173770225, 1.0,
+        ],
+    )
+    strip = Strip(0.5, 1.5)
+    cert = strip_gain(G, 1, strip)
+    grid = strip_norm(G, strip, method="grid").value
+    assert cert.bracket[1] >= grid
+    assert cert.gamma == pytest.approx(grid, rel=2e-6)

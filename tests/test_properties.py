@@ -5,6 +5,8 @@ realization: poles keep a margin from the rate lines and strips analyzed,
 and the basis has condition number at most 4.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,7 +70,7 @@ def _change_basis(rng, A, B, C, D):
 @PROPERTY
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 30),
+    n=st.integers(1, 80),
     unstable=st.booleans(),
 )
 def test_grid_never_exceeds_bisection_bracket_top(seed, n, unstable):
@@ -79,8 +81,17 @@ def test_grid_never_exceeds_bisection_bracket_top(seed, n, unstable):
         rng, A, rng.standard_normal((n, 1)), rng.standard_normal((1, n)), [[0.0]]
     )
     grid = line_norm_grid(ss, Line(lam))
-    lo, hi = line_norm_bisection(ss, Line(lam)).bracket
+    res = line_norm_bisection(ss, Line(lam))
+    lo, hi = res.bracket
     assert grid.value <= hi
+    # |G| at the reported peak, by a dense solve rather than the Schur evaluator
+    w = res.peak_frequency
+    if math.isinf(w):
+        at_peak = abs(ss.D[0, 0])
+    else:
+        x = np.linalg.solve((-lam + 1j * w) * np.eye(n) - ss.A, ss.B[:, 0])
+        at_peak = abs(ss.C[0] @ x + ss.D[0, 0])
+    assert lo * (1.0 - 1e-9) <= at_peak <= hi
 
 
 @PROPERTY

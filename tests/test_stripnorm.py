@@ -68,6 +68,14 @@ def test_line_norm_bisection_allpass_sup_at_infinity():
     assert res.value == pytest.approx(1.0, abs=5e-6)
 
 
+def test_line_norm_bisection_feedthrough_limit():
+    # on Re(s) = -0.5 |G| stays below its limit 3.25 at infinite frequency
+    G = RationalFunction([16.0, 13.5, 3.25], [21.0, 8.7, 1.0])
+    res = line_norm_bisection(G, Line(0.5), 1e-6)
+    assert res.bracket[0] <= 3.25 <= res.bracket[1]
+    assert res.peak_frequency == math.inf
+
+
 def test_line_norm_shifted_line():
     # |1/(s+1)| on Re(s) = -0.5 peaks at s = -0.5: value 2
     res = line_norm_bisection(RationalFunction([1.0], [1.0, 1.0]), Line(0.5), 1e-8)
