@@ -10,12 +10,12 @@ bode verbs print CSV instead when no --out path is given).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
 import numpy as np
 
-from . import matkernel
 from .dominance import (
     SlopeLoop,
     _minus_one,
@@ -303,10 +303,12 @@ def _response_grid(args) -> np.ndarray:
 
 
 def _csv_lines(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(float_repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    """Header plus one line per row, every cell %.17g (float_repr's spelling,
+    nan and +-inf included), formatted in a single pass over the table."""
+    table = np.asarray(rows, dtype=float)
+    nrows, ncols = table.shape
+    row_format = ",".join(["%.17g"] * ncols) + "\n"
+    return header + "\n" + row_format * nrows % tuple(table.ravel().tolist())
 
 
 def _write_text(path: str, text: str) -> str:
@@ -532,7 +534,7 @@ def cmd_example_sec5(args) -> int:
     # right of each rate line.
     lag_path = RationalFunction([1.0], Polynomial((1.0, args.tau)))
     closed = feedback_compose(realize(L * lag_path), _minus_one())
-    eig = matkernel.eig(closed.A)
+    eig = closed.poles()
     rates = [strip.lo, 0.5 * (strip.lo + strip.hi), strip.hi]
     counts = []
     confirmed = True
@@ -705,9 +707,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser main uses, built once per process: parsing keeps no state
+    on the parser and returns a fresh Namespace on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvalidInput, Unsupported) as exc:

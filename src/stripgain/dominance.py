@@ -69,9 +69,10 @@ def _shifted(ss: StateSpace, lam: float) -> np.ndarray:
 def require_dominance(ss: StateSpace, p: int, rate: float) -> None:
     """Check p-dominance at the given rate by counting eigenvalues.
 
-    Counts eigenvalues of A + rate*I right of the imaginary axis: an
-    eigenvalue numerically on the axis raises MarginalRate, a count other
-    than p raises NotPDominant.  No certificate is built.
+    Counts eigenvalues of A + rate*I (the system's cached poles shifted by
+    rate) right of the imaginary axis: an eigenvalue numerically on the axis
+    raises MarginalRate, a count other than p raises NotPDominant.  No
+    certificate is built.
     """
     if not isinstance(ss, StateSpace):
         raise InvalidInput("dominance_check expects a StateSpace")
@@ -83,7 +84,7 @@ def require_dominance(ss: StateSpace, p: int, rate: float) -> None:
         if p != 0:
             raise NotPDominant("static system has no dynamic modes", expected=p, actual=0)
         return
-    eigs = matkernel.eig(_shifted(ss, rate))
+    eigs = ss.poles() + rate
     for mu in eigs:
         if abs(mu.real) <= TAU_LINE * (1.0 + abs(mu.real)):
             raise MarginalRate(

@@ -95,14 +95,21 @@ class StateSpace:
         return self.n_inputs == 1 and self.n_outputs == 1
 
     def poles(self) -> np.ndarray:
-        return matkernel.eig(self.A)
+        """Eigenvalues of A sorted by (real, imag), read-only."""
+        return self._poles
+
+    @cached_property
+    def _poles(self) -> np.ndarray:
+        w = matkernel.eig(self.A)
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(T, Z^H B, C Z) for the complex Schur form A = Z T Z^H.
 
-        Computed once per system (the matrices are read-only); frequency
-        responses back-substitute through sI - T.
+        Computed once per system (the matrices are read-only), like the
+        poles; frequency responses back-substitute through sI - T.
         """
         T, Z = matkernel.schur_complex(self.A)
         return T, Z.conj().T @ self.B, self.C @ Z

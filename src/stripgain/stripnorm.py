@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import matkernel
 from .errors import (
@@ -37,6 +38,9 @@ GRID_POINTS = 512
 GRID_OMEGA_MIN = 1e-3
 GRID_OMEGA_MAX = 1e3
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# LAPACK upper-triangular solve; solve_triangular's checks cost more than
+# the solve itself on a few states
+(_ztrtrs,) = sla.get_lapack_funcs(("trtrs",), (np.zeros(1, dtype=complex),))
 
 
 def maxmod_slack(value: float) -> float:
@@ -85,8 +89,10 @@ def frequency_response(system: StateSpace | RationalFunction, lam: float, omegas
 
     A RationalFunction is evaluated from its coefficients.  A StateSpace is
     reduced once to complex Schur form A = Z T Z^H (cached on the system);
-    each frequency then costs one O(n^2) back-substitution through sI - T,
-    vectorised over the frequencies.
+    each frequency then costs one O(n^2) back-substitution through sI - T.
+    The Python loop runs over whichever is fewer: the states, each step
+    vectorised over the frequencies, or the frequencies, each one LAPACK
+    triangular solve.
     """
     s = -lam + 1j * omegas
     if isinstance(system, RationalFunction):
@@ -95,9 +101,18 @@ def frequency_response(system: StateSpace | RationalFunction, lam: float, omegas
     T, b, c = system.schur
     s = np.asarray(s)
     flat = s.reshape(-1)
-    X = np.empty((system.n, flat.size), dtype=complex)
-    for i in range(system.n - 1, -1, -1):
-        X[i] = (b[i, 0] + T[i, i + 1 :] @ X[i + 1 :]) / (flat - T[i, i])
+    n = system.n
+    X = np.empty((n, flat.size), dtype=complex)
+    if flat.size < n:
+        for k, sk in enumerate(flat):
+            M = -T
+            M.flat[:: n + 1] += sk
+            X[:, k], info = _ztrtrs(M, b[:, 0])
+            if info:  # sk is a pole: LAPACK left the column unsolved
+                X[:, k] = np.nan
+    else:
+        for i in range(n - 1, -1, -1):
+            X[i] = (b[i, 0] + T[i, i + 1 :] @ X[i + 1 :]) / (flat - T[i, i])
     return (c[0] @ X + system.D[0, 0]).reshape(s.shape)
 
 
@@ -260,7 +275,15 @@ def line_norm_bisection(
     for _ in range(50):
         # lo + tol would let rounding push the bracket width past tol
         gamma = lo + 0.5 * tol
-        H = build_hamiltonian(ss, gamma, line).matrix
+        try:
+            H = build_hamiltonian(ss, gamma, line).matrix
+        except InvalidInput as exc:
+            # the one level build_hamiltonian rejects here is one within its
+            # guard of |D|: the request is well formed, the tolerance too fine
+            raise NumericalFailure(
+                "tolerance %g is below what the level test can resolve at |D| = %g"
+                % (tol, d)
+            ) from exc
         w = matkernel.eig(H)
         band = 3.0 * TAU_HAM * max(1.0, float(np.linalg.norm(H)))
         cands = np.unique(np.concatenate([[0.0], np.abs(w.imag[np.abs(w.real) <= band])]))

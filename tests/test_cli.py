@@ -1,9 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from stripgain import cli
 from stripgain.cli import main
+from stripgain.modelio import float_repr
 
 
 def write_model(path, obj):
@@ -202,6 +205,16 @@ def test_pole_on_line_exits_2(capsys, first_order):
     assert env["error"]["type"] == "PoleOnLine"
 
 
+def test_tolerance_below_feedthrough_resolution_exits_2(capsys, tmp_path):
+    # a well-formed request the level test cannot resolve: analysis failure
+    model = write_model(
+        tmp_path / "ft.json", {"kind": "tf", "num": [16.0, 13.5, 3.25], "den": [21.0, 8.7, 1.0]}
+    )
+    code, out = run(capsys, ["norm", model, "--line", "0.5", "--tol", "1e-12"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "NumericalFailure"
+
+
 def test_example_sec5_confirms(capsys, tmp_path):
     out_path = tmp_path / "fig.csv"
     code, out = run(
@@ -310,3 +323,49 @@ def test_gain_warns_when_certificate_is_null(capsys, tmp_path, unstable):
     assert code == 0
     assert env["results"]["certificate"] is not None
     assert env["warnings"] == []
+
+
+def test_csv_lines_matches_per_cell_float_repr():
+    rows = np.array(
+        [
+            [0.0, math.nan, math.inf, -math.inf, -0.0],
+            [5e-324, 1e308, -1e308, 3.0, -42.0],
+            [1e16, 1e17, 0.1, 1.0 / 3.0, 2.0**-1074 * 3],
+        ]
+    )
+    reference = "\n".join(
+        ["a,b,c,d,e"] + [",".join(float_repr(float(x)) for x in row) for row in rows]
+    ) + "\n"
+    assert cli._csv_lines("a,b,c,d,e", rows) == reference
+    assert cli._csv_lines("omega", np.zeros((0, 1))) == "omega\n"
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys, tmp_path, unstable):
+    """Calls made in sequence on the one parser main keeps print what each
+    prints when made first, on a freshly built parser."""
+    table = tmp_path / "nyq.csv"
+    calls = [
+        ["gain", unstable, "--p", "1", "--strip", "0.5,1.5", "--certificate"],
+        ["gain", unstable, "--p", "1"],  # usage error: no region
+        ["dominance", unstable, "--p", "0", "--rate", "0.5"],  # analysis error
+        ["gain", unstable, "--p", "1", "--line", "0.5"],
+        ["nyquist", unstable, "--line", "0.5", "--points", "50", "--out", str(table)],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, table.read_text() if table.exists() else None
+
+    fresh = []
+    for argv in calls:
+        cli._shared_parser.cache_clear()
+        table.unlink(missing_ok=True)
+        fresh.append(call(argv))
+    assert [f[0] for f in fresh] == [0, 3, 2, 0, 0]
+    table.unlink()
+    shared = [call(argv) for argv in calls]
+    assert shared == fresh

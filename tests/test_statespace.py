@@ -33,6 +33,8 @@ def test_realize_dimensions_and_poles():
     ss = realize(G)
     assert ss.n == 2 and ss.is_siso
     assert np.allclose(sorted(ss.poles().real), [-2.0, -1.0], atol=1e-9)
+    # one eigensolve per system; the cached spectrum cannot be changed
+    assert ss.poles() is ss.poles() and not ss.poles().flags.writeable
 
 
 def test_realize_rejects_improper():

@@ -8,6 +8,7 @@ from stripgain import (
     ImproperTransferFunction,
     InvalidInput,
     Line,
+    NumericalFailure,
     PoleInStrip,
     PoleOnLine,
     Polynomial,
@@ -74,6 +75,16 @@ def test_line_norm_bisection_feedthrough_limit():
     res = line_norm_bisection(G, Line(0.5), 1e-6)
     assert res.bracket[0] <= 3.25 <= res.bracket[1]
     assert res.peak_frequency == math.inf
+
+
+def test_line_norm_bisection_tolerance_below_feedthrough_resolution():
+    # tested levels come within build_hamiltonian's guard of |D| = 3.25 once
+    # the tolerance is below about 2e-12 |D|: a numerical limit, not bad input
+    G = RationalFunction([16.0, 13.5, 3.25], [21.0, 8.7, 1.0])
+    res = line_norm_bisection(G, Line(0.5), 1e-11)
+    assert res.bracket[0] <= 3.25 <= res.bracket[1]
+    with pytest.raises(NumericalFailure, match="tolerance 1e-12"):
+        line_norm_bisection(G, Line(0.5), 1e-12)
 
 
 def test_line_norm_shifted_line():
@@ -227,12 +238,23 @@ def test_frequency_response_of_ss_matches_direct_solve():
         [[0.3]],
     )
     lam = 0.5
+
+    def direct(w):
+        return [
+            complex(ss.C[0] @ np.linalg.solve((-lam + 1j * wk) * np.eye(n) - ss.A, ss.B[:, 0]))
+            + 0.3
+            for wk in w
+        ]
+
     w = np.array([0.0, 0.1, 1.0, 3.0, 40.0])
-    want = [
-        complex(ss.C[0] @ np.linalg.solve((-lam + 1j * wk) * np.eye(n) - ss.A, ss.B[:, 0])) + 0.3
-        for wk in w
-    ]
+    want = direct(w)
+    # fewer frequencies than states, then more: both loop orders
     assert np.allclose(frequency_response(ss, lam, w), want, rtol=1e-12, atol=0.0)
+    long = np.linspace(0.0, 40.0, 3 * n)
+    assert np.allclose(frequency_response(ss, lam, long), direct(long), rtol=1e-12, atol=0.0)
     assert frequency_response(ss, lam, 1.0) == pytest.approx(want[2], rel=1e-12)
+    # G is undefined at a pole; the solve reports it rather than returning b
+    at_pole = StateSpace(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+    assert np.isnan(frequency_response(at_pole, 1.0, 0.0))
     static = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-2.0]])
     assert np.array_equal(frequency_response(static, lam, w), np.full(5, -2.0 + 0j))
