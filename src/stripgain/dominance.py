@@ -28,7 +28,16 @@ from .errors import (
 from .rational import RationalFunction
 from .regions import TAU_LINE, Line, Strip
 from .statespace import StateSpace, realize, require_siso
-from .stripnorm import build_hamiltonian, coarse_grid, line_norm_bisection, strip_maximum
+from .stripnorm import (
+    _level_search,
+    _pole_guard,
+    _require_tol,
+    build_hamiltonian,
+    coarse_grid,
+    frequency_response,
+    line_norm_bisection,
+    strip_maximum,
+)
 
 TAU_INERTIA = 1e-8
 
@@ -76,15 +85,21 @@ def require_dominance(ss: StateSpace, p: int, rate: float) -> None:
     """
     if not isinstance(ss, StateSpace):
         raise InvalidInput("dominance_check expects a StateSpace")
-    if p < 0 or p > ss.n:
-        raise InvalidInput("p must lie in [0, %d], got %d" % (ss.n, p))
+    _require_count(ss.poles(), p, rate)
+
+
+def _require_count(poles: np.ndarray, p: int, rate: float) -> None:
+    """require_dominance on a given spectrum."""
+    n = poles.size
+    if p < 0 or p > n:
+        raise InvalidInput("p must lie in [0, %d], got %d" % (n, p))
     if not math.isfinite(rate) or rate < 0:
         raise InvalidInput("rate must be finite and >= 0")
-    if ss.n == 0:
+    if n == 0:
         if p != 0:
             raise NotPDominant("static system has no dynamic modes", expected=p, actual=0)
         return
-    eigs = ss.poles() + rate
+    eigs = poles + rate
     for mu in eigs:
         if abs(mu.real) <= TAU_LINE * (1.0 + abs(mu.real)):
             raise MarginalRate(
@@ -458,11 +473,30 @@ def _minus_one() -> StateSpace:
     return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-1.0]])
 
 
+def _slope_family(L: StateSpace, slopes: np.ndarray):
+    """Closed loops of L through each slope k, stacked on a leading axis:
+    with d = 1 - k D, (A + (k/d) B C, B/d, k C/d, k D/d).  The stack stops
+    before the first slope with d = 0, whose algebraic loop is singular."""
+    D = float(L.D[0, 0])
+    d = 1.0 - slopes * D
+    if not np.all(d):
+        d = d[: int(np.argmin(d != 0.0))]
+        slopes = slopes[: d.size]
+    k = slopes[:, None, None]
+    dd = d[:, None, None]
+    return L.A + (k / dd) * (L.B @ L.C), L.B / dd, k * L.C / dd, slopes * D / d
+
+
+def _ill_posed(slope: float) -> IllPosed:
+    return IllPosed("algebraic loop 1 - k D is singular at slope %g" % slope)
+
+
 def slope_closed_loop(loop: SlopeLoop, slope: float) -> StateSpace:
     """Loop linearized at one slope: injection-to-nonlinearity-output map."""
-    L = loop.linear
-    scaled = StateSpace(L.A, L.B, slope * L.C, slope * L.D)
-    return feedback_compose(scaled, _minus_one())
+    A, B, C, D = _slope_family(loop.linear, np.array([float(slope)]))
+    if D.size == 0:
+        raise _ill_posed(slope)
+    return StateSpace(A[0], B[0], C[0], D[:, None])
 
 
 @dataclass(frozen=True)
@@ -486,22 +520,25 @@ def sector_slope_gain(
     Every sampled slope must keep the closed loop p-dominant at the rate;
     a failing slope raises NotPDominantAtSlope.  The returned gamma is the
     max of the per-slope gains (the slope grid stands in for a continuous
-    sector search).
+    sector search).  The slopes are checked in order (well-posed loop,
+    dominance, no pole on the line) and then searched as one batch, with
+    the closed-loop responses k L / (1 - k L) read through L's own Schur
+    form.
     """
-    require_siso(loop.linear, "sector_slope_gain")
+    L = loop.linear
+    require_siso(L, "sector_slope_gain")
     if n_slopes < 1:
         raise InvalidInput("n_slopes must be >= 1")
+    _require_tol(tol)
     if loop.slope_lo == loop.slope_hi:
         slopes = np.array([loop.slope_lo])
     else:
         slopes = np.linspace(loop.slope_lo, loop.slope_hi, n_slopes)
-    evaluations = []
-    best_gamma = -1.0
-    best_slope = slopes[0]
-    for slope in slopes:
-        closed = slope_closed_loop(loop, float(slope))
+    A, B, C, D = _slope_family(L, slopes)
+    spectra = matkernel.eig(A)
+    for slope, poles in zip(slopes, spectra):
         try:
-            require_dominance(closed, p, line.lam)
+            _require_count(poles, p, line.lam)
         except NotPDominant as exc:
             raise NotPDominantAtSlope(
                 "closed loop at slope %g is not %d-dominant at rate %g (%s)"
@@ -510,11 +547,22 @@ def sector_slope_gain(
                 expected=p,
                 actual=exc.actual,
             ) from exc
-        res = line_norm_bisection(closed, line, tol)
-        evaluations.append((float(slope), res.value))
-        if res.value > best_gamma:
-            best_gamma = res.value
-            best_slope = float(slope)
+        _pole_guard(poles, line)
+    if D.size < slopes.size:
+        raise _ill_posed(slopes[D.size])
+
+    def response(members, omegas):
+        # at a pole of L the closed loop tends to -1 (no slope is 0 then:
+        # the loop at slope 0 is L, whose poles the guard keeps off the line)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kL = slopes[members] * frequency_response(L, line.lam, omegas)
+            return np.where(np.isfinite(kL), kL / (1.0 - kL), -1.0)
+
+    results = _level_search(A, B, C, D, spectra, line, tol, response)
+    values = [r.value for r in results]
+    best = int(np.argmax(values))
     return SectorGainResult(
-        gamma=best_gamma, slope_at_max=best_slope, evaluations=tuple(evaluations)
+        gamma=values[best],
+        slope_at_max=float(slopes[best]),
+        evaluations=tuple((float(k), v) for k, v in zip(slopes, values)),
     )

@@ -33,10 +33,15 @@ def as_square_matrix(A, name="A") -> np.ndarray:
 
 
 def eig(A) -> np.ndarray:
-    """Eigenvalues of a real square matrix, sorted by (real, imag)."""
-    M = as_square_matrix(A)
-    if M.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
+    """Eigenvalues of a real square matrix, or of each matrix in a stack of
+    shape (..., n, n), each row sorted by (real, imag)."""
+    M = np.asarray(A, dtype=float)
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
+        raise InvalidInput("A must be square, got shape %r" % (M.shape,))
+    if M.size and not np.all(np.isfinite(M)):
+        raise InvalidInput("A contains non-finite entries")
+    if M.size == 0:
+        return np.zeros(M.shape[:-1], dtype=complex)
     try:
         w = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:

@@ -4,7 +4,9 @@ Two independent engines estimate the supremum of |G| along a vertical line:
 a refined frequency grid (certified lower bound) and a level iteration on a
 Hamiltonian matrix whose imaginary-axis eigenvalues are the frequencies
 where |G| crosses the level (two-sided bracket whose lower end is a
-measured |G|; the method keeps the name "bisection").  A function bounded
+measured |G|; the method keeps the name "bisection").  The level iteration
+runs over a batch of same-size systems at once, so a sweep of closed loops
+shares each stacked eigensolve.  A function bounded
 on a strip attains its supremum on the boundary, so strip norms reduce to
 the two boundary lines plus an interior spot check.  The supremum norms and
 the response tables take a transfer function or a state-space model and
@@ -13,6 +15,7 @@ evaluate it through ``frequency_response``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,12 +119,19 @@ def frequency_response(system: StateSpace | RationalFunction, lam: float, omegas
     return (c[0] @ X + system.D[0, 0]).reshape(s.shape)
 
 
+@functools.cache
+def _log_grid(points: int) -> np.ndarray:
+    log = np.logspace(math.log10(GRID_OMEGA_MIN), math.log10(GRID_OMEGA_MAX), points)
+    log.setflags(write=False)
+    return log
+
+
 def coarse_grid(poles: np.ndarray, points: int) -> np.ndarray:
     """Frequency 0, a log grid of the given size over [GRID_OMEGA_MIN,
-    GRID_OMEGA_MAX], and the pole resonance frequencies, sorted."""
+    GRID_OMEGA_MAX] (built once per size), and the pole resonance
+    frequencies, sorted."""
     imag = np.abs(poles.imag)
-    log = np.logspace(math.log10(GRID_OMEGA_MIN), math.log10(GRID_OMEGA_MAX), points)
-    return np.unique(np.concatenate([np.array([0.0]), log, imag[imag > 0.0]]))
+    return np.unique(np.concatenate([np.array([0.0]), _log_grid(points), imag[imag > 0.0]]))
 
 
 def _golden_max(f, a: float, b: float):
@@ -214,23 +224,133 @@ class HamiltonianMatrix:
     rate: float
 
 
+def _near_feedthrough(d, gamma):
+    """Whether the level gamma lies within 1e-12 (relative) of |d|, where
+    R = d^2 - gamma^2 in the Hamiltonian loses its precision (elementwise)."""
+    return np.abs(d * d - gamma * gamma) <= 1e-12 * np.maximum(1.0, gamma * gamma)
+
+
+def _hamiltonians(A, B, C, d, lam: float, gamma) -> np.ndarray:
+    """Stack of Hamiltonians [[F, -(gamma/R) B B'], [(gamma/R) C'C, -F']]
+    with R = d^2 - gamma^2 and F = A + lam I - (d/R) B C, one per member of
+    A (K, n, n), B (K, n, 1), C (K, 1, n), d (K,) and gamma (K,).  A level
+    within the _near_feedthrough guard of |d| raises InvalidInput."""
+    near = _near_feedthrough(d, gamma)
+    if near.any():
+        k = int(near.argmax())
+        raise InvalidInput(
+            "level %g is too close to the feedthrough magnitude %g" % (gamma[k], abs(d[k]))
+        )
+    n = A.shape[-1]
+    R = d * d - gamma * gamma
+    F = A + lam * np.eye(n) - (d / R)[:, None, None] * (B @ C)
+    H = np.empty((d.size, 2 * n, 2 * n))
+    H[:, :n, :n] = F
+    H[:, :n, n:] = -(gamma / R)[:, None, None] * (B @ B.transpose(0, 2, 1))
+    H[:, n:, :n] = (gamma / R)[:, None, None] * (C.transpose(0, 2, 1) @ C)
+    H[:, n:, n:] = -F.transpose(0, 2, 1)
+    return H
+
+
 def build_hamiltonian(ss: StateSpace, gamma: float, line: Line) -> HamiltonianMatrix:
     """Assemble the Hamiltonian whose imaginary-axis eigenvalues mark the
     frequencies where |G(-lam + i omega)| crosses the level gamma."""
     require_siso(ss, "build_hamiltonian")
     if ss.n == 0:
         raise InvalidInput("Hamiltonian requires at least one state")
-    d = float(ss.D[0, 0])
-    R = d * d - gamma * gamma
-    if abs(R) <= 1e-12 * max(1.0, gamma * gamma):
-        raise InvalidInput(
-            "level %g is too close to the feedthrough magnitude %g" % (gamma, abs(d))
+    H = _hamiltonians(ss.A[None], ss.B[None], ss.C[None], ss.D[0], line.lam, np.array([gamma]))
+    return HamiltonianMatrix(matrix=H[0], gamma=gamma, rate=line.lam)
+
+
+def _require_tol(tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InvalidInput("tolerance must be positive and finite")
+
+
+def _pieces(flat: np.ndarray, parts):
+    """Consecutive slices of flat, one as long as each array in parts."""
+    start = 0
+    for part in parts:
+        yield flat[start : start + part.size]
+        start += part.size
+
+
+def _level_search(A, B, C, D, poles, line: Line, tol: float, response) -> list[NormResult]:
+    """Bracket sup |G_k| on one line for K SISO systems of one size at once.
+
+    A (K, n, n), B (K, n, 1), C (K, 1, n) and D (K,) stack the members and
+    poles[k] is member k's spectrum (checked against the line by the
+    caller); response(members, omegas) returns G_members[i](-lam + i
+    omegas[i]).  Each member's lower end starts at the larger of |D| and the
+    best point of its coarse grid; then every step tests the levels
+    lo + tol/2 of all unsettled members with one stacked eigensolve and
+    measures all their crossing midpoints with one response call (see
+    line_norm_bisection).  A member with no states or a zero lower end is
+    settled at once with the bracket (lo, lo).
+    """
+    K, n = D.size, A.shape[-1]
+    lo = [abs(float(x)) for x in D]
+    peak = [math.inf] * K
+    if n:
+        grids = [coarse_grid(p, 64) for p in poles]
+        members = np.repeat(np.arange(K), [g.size for g in grids])
+        vals = np.abs(response(members, np.concatenate(grids)))
+        for k, (g, v) in enumerate(zip(grids, _pieces(vals, grids))):
+            j = int(v.argmax())
+            if v[j] > lo[k]:
+                lo[k], peak[k] = float(v[j]), float(g[j])
+    live = [k for k in range(K) if n and lo[k] > 0.0]
+    hi = list(lo)
+    peak = [f if k in live else 0.0 for k, f in enumerate(peak)]
+    stack = (A, B, C, D)  # restricted to the live members
+    if len(live) < K:
+        stack = tuple(X[live] for X in stack)
+    for _ in range(50):
+        if not live:
+            break
+        # lo + tol would let rounding push the bracket width past tol
+        gamma = np.array([lo[k] for k in live]) + 0.5 * tol
+        try:
+            H = _hamiltonians(*stack, line.lam, gamma)
+        except InvalidInput as exc:
+            # the one level rejected here is one within the guard of |D|:
+            # the request is well formed, the tolerance too fine
+            d = stack[3][_near_feedthrough(stack[3], gamma)][0]
+            raise NumericalFailure(
+                "tolerance %g is below what the level test can resolve at |D| = %g"
+                % (tol, abs(d))
+            ) from exc
+        w = matkernel.eig(H)
+        band = 3.0 * TAU_HAM * np.maximum(1.0, np.sqrt(np.einsum("kij,kij->k", H, H)))
+        mids = []
+        for wk, bk in zip(w, band):
+            cands = np.unique(np.concatenate([[0.0], np.abs(wk.imag[np.abs(wk.real) <= bk])]))
+            mids.append(0.5 * (cands[:-1] + cands[1:]))
+        members = np.repeat(live, [m.size for m in mids])
+        mags = np.abs(response(members, np.concatenate(mids)))
+        unsettled = []
+        for k, g, m, v in zip(live, gamma, mids, _pieces(mags, mids)):
+            if m.size == 0 or v.max() <= lo[k]:
+                hi[k] = float(g)
+            else:
+                j = int(v.argmax())
+                lo[k], peak[k] = float(v[j]), float(m[j])
+                unsettled.append(k)
+        if len(unsettled) < len(live):
+            stack = tuple(X[unsettled] for X in (A, B, C, D))
+        live = unsettled
+    if live:
+        raise NumericalFailure("level iteration did not settle in 50 steps")
+    return [
+        NormResult(
+            value=0.5 * (a + b),
+            method="bisection",
+            peak_frequency=f,
+            tolerance=tol,
+            bracket=(a, b),
         )
-    At = ss.A + line.lam * np.eye(ss.n)
-    F = At - (d / R) * (ss.B @ ss.C)
-    top = np.hstack([F, -(gamma / R) * (ss.B @ ss.B.T)])
-    bot = np.hstack([(gamma / R) * (ss.C.T @ ss.C), -F.T])
-    return HamiltonianMatrix(matrix=np.vstack([top, bot]), gamma=gamma, rate=line.lam)
+        for a, b, f in zip(lo, hi, peak)
+    ]
 
 
 def line_norm_bisection(
@@ -248,58 +368,17 @@ def line_norm_bisection(
     (Boyd and Balakrishnan 1990, Bruinsma and Steinbuch 1990).  The name is
     kept from the bisection this iteration replaced.
     """
-    if isinstance(system, RationalFunction):
-        ss = realize(system)
-    else:
-        ss = system
+    ss = realize(system) if isinstance(system, RationalFunction) else system
     require_siso(ss, "line_norm_bisection")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise InvalidInput("tolerance must be positive and finite")
-    d = abs(float(ss.D[0, 0]))
-    if ss.n == 0:
-        return NormResult(
-            value=d, method="bisection", peak_frequency=0.0, tolerance=tol, bracket=(d, d)
-        )
-    eigs = ss.poles()
-    _pole_guard(eigs, line)
-    lo, peak = d, math.inf
-    coarse = coarse_grid(eigs, 64)
-    vals = np.abs(frequency_response(ss, line.lam, coarse))
-    k = int(np.argmax(vals))
-    if vals[k] > lo:
-        lo, peak = float(vals[k]), float(coarse[k])
-    if lo == 0.0:
-        return NormResult(
-            value=0.0, method="bisection", peak_frequency=0.0, tolerance=tol, bracket=(0.0, 0.0)
-        )
-    for _ in range(50):
-        # lo + tol would let rounding push the bracket width past tol
-        gamma = lo + 0.5 * tol
-        try:
-            H = build_hamiltonian(ss, gamma, line).matrix
-        except InvalidInput as exc:
-            # the one level build_hamiltonian rejects here is one within its
-            # guard of |D|: the request is well formed, the tolerance too fine
-            raise NumericalFailure(
-                "tolerance %g is below what the level test can resolve at |D| = %g"
-                % (tol, d)
-            ) from exc
-        w = matkernel.eig(H)
-        band = 3.0 * TAU_HAM * max(1.0, float(np.linalg.norm(H)))
-        cands = np.unique(np.concatenate([[0.0], np.abs(w.imag[np.abs(w.real) <= band])]))
-        mids = 0.5 * (cands[:-1] + cands[1:])
-        mags = np.abs(frequency_response(ss, line.lam, mids))
-        if mids.size == 0 or np.max(mags) <= lo:
-            return NormResult(
-                value=0.5 * (lo + gamma),
-                method="bisection",
-                peak_frequency=peak,
-                tolerance=tol,
-                bracket=(lo, gamma),
-            )
-        k = int(np.argmax(mags))
-        lo, peak = float(mags[k]), float(mids[k])
-    raise NumericalFailure("level iteration did not settle in 50 steps")
+    _require_tol(tol)
+    _pole_guard(ss.poles(), line)
+
+    def response(members, omegas):
+        return frequency_response(ss, line.lam, omegas)
+
+    return _level_search(
+        ss.A[None], ss.B[None], ss.C[None], ss.D[0], [ss.poles()], line, tol, response
+    )[0]
 
 
 def singular_value_test(

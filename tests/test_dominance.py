@@ -18,6 +18,7 @@ from stripgain import (
     feedback_compose,
     inertia,
     l2p_gain,
+    line_norm_bisection,
     realize,
     sector_slope_gain,
     slope_closed_loop,
@@ -205,6 +206,46 @@ def test_sector_slope_gain_flags_failing_slope():
         sector_slope_gain(loop, 0, Line(0.0), 1e-6, n_slopes=11)
     assert info.value.slope == pytest.approx(1.2)
     assert info.value.actual == 1
+
+
+def _minus_one():
+    return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-1.0]])
+
+
+def test_slope_closed_loop_matches_feedback_compose_with_feedthrough():
+    L = siso([[-1.0, 2.0], [-0.5, -3.0]], [1.0, -0.7], [0.4, 1.3], 0.35)
+    loop = SlopeLoop(L, -1.0, 2.0)
+    for k in (-1.0, 0.3, 1.7):
+        got = slope_closed_loop(loop, k)
+        ref = feedback_compose(StateSpace(L.A, L.B, k * L.C, k * L.D), _minus_one())
+        for M, R in ((got.A, ref.A), (got.B, ref.B), (got.C, ref.C), (got.D, ref.D)):
+            assert np.allclose(M, R, rtol=1e-14, atol=1e-14)
+
+
+def test_sector_slope_gain_raises_ill_posed_at_singular_slope():
+    # L = 0.5 - 1/(s + 1): the loop through slope 1 is 0.5 s - 0.5 over
+    # (s + 3) / 2, stable like slope 0; at slope 2, 1 - k D = 0
+    L = siso([[-1.0]], [1.0], [-1.0], 0.5)
+    loop = SlopeLoop(L, 0.0, 4.0)
+    with pytest.raises(IllPosed):
+        sector_slope_gain(loop, 0, Line(0.0), 1e-6, n_slopes=5)
+    with pytest.raises(IllPosed):
+        slope_closed_loop(loop, 2.0)
+    # the slopes before the singular one are checked first
+    with pytest.raises(NotPDominantAtSlope) as info:
+        sector_slope_gain(loop, 1, Line(0.0), 1e-6, n_slopes=5)
+    assert info.value.slope == 0.0
+
+
+def test_sector_slope_gain_through_a_pole_of_the_loop_on_the_line():
+    # L = -1/s on the imaginary axis: every loop -k/(s + k) with k in
+    # [0.5, 1] peaks at 1 at omega = 0, where L itself has its pole
+    loop = SlopeLoop(siso([[0.0]], [1.0], [-1.0]), 0.5, 1.0)
+    res = sector_slope_gain(loop, 0, Line(0.0), 1e-9, n_slopes=3)
+    for k, value in res.evaluations:
+        want = line_norm_bisection(slope_closed_loop(loop, k), Line(0.0), 1e-9).value
+        assert value == pytest.approx(want, rel=1e-12)
+        assert value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_strip_gain_needs_no_certificate_of_dominance():

@@ -12,6 +12,22 @@ def test_eig_sorted_and_complete():
     assert np.allclose(sorted(w.real), [-1.0, 0.5, 3.0])
 
 
+def test_eig_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((3, 4, 4))
+    w = matkernel.eig(stack)
+    assert w.shape == (3, 4)
+    for k in range(3):
+        assert np.array_equal(w[k], matkernel.eig(stack[k]))
+    bad = stack.copy()
+    bad[1, 2, 3] = np.nan
+    with pytest.raises(InvalidInput):
+        matkernel.eig(bad)
+    with pytest.raises(InvalidInput):
+        matkernel.eig(np.zeros((3, 4, 5)))
+    assert matkernel.eig(np.zeros((2, 0, 0))).shape == (2, 0)
+
+
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(InvalidInput):
         matkernel.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))

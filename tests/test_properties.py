@@ -1,4 +1,5 @@
-"""Hypothesis properties of the state-space norm path.
+"""Hypothesis properties of the state-space norm path and the batched
+sector sweep.
 
 Models are drawn from a seed so that every example is a well-conditioned
 realization: poles keep a margin from the rate lines and strips analyzed,
@@ -9,17 +10,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stripgain import (
     Line,
+    NotPDominant,
+    NotPDominantAtSlope,
     RationalFunction,
+    SlopeLoop,
     StateSpace,
+    StripgainError,
     Strip,
     line_norm_bisection,
     line_norm_grid,
     realize,
+    require_dominance,
+    sector_slope_gain,
+    slope_closed_loop,
     strip_norm,
 )
 
@@ -123,3 +131,68 @@ def test_strip_norm_of_ss_matches_its_transfer_function(seed, order, hidden, uns
     want = strip_norm(G, strip)
     got = strip_norm(ss, strip)
     assert got.value == pytest.approx(want.value, abs=2.0 * want.tolerance)
+
+
+def _sweep_slope_by_slope(loop, p, line, tol, slopes):
+    """The sector sweep as separate closed loops: every slope is checked,
+    in order, before any level search."""
+    closed = []
+    for k in slopes:
+        ss = slope_closed_loop(loop, k)
+        try:
+            require_dominance(ss, p, line.lam)
+        except NotPDominant as exc:
+            raise NotPDominantAtSlope("", slope=k, expected=p, actual=exc.actual) from exc
+        closed.append(ss)
+    return [line_norm_bisection(ss, line, tol).value for ss in closed]
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except StripgainError as exc:
+        return None, exc
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    feedthrough=st.booleans(),
+    n_slopes=st.integers(1, 12),
+    p=st.integers(0, 1),
+)
+# a loop closed to |G| = 1568 at its second slope, where the two paths
+# differ by 1.2e-12 relative
+@example(seed=248418, n=4, feedthrough=True, n_slopes=2, p=0)
+def test_sector_sweep_matches_slope_by_slope_searches(seed, n, feedthrough, n_slopes, p):
+    """The batched sweep gives every slope the value of its own closed
+    loop's level search, or fails where the slope-by-slope sweep fails."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.0, 1.0)
+    poles = [complex(rng.uniform(-lam + MARGIN, 2.0), 0.0) for _ in range(min(p, n))]
+    poles += _poles(rng, n - len(poles), lam, lam, False)
+    d = rng.uniform(-1.0, 1.0) if feedthrough else 0.0
+    ss = _change_basis(
+        rng, _block_form(poles), rng.standard_normal((n, 1)), rng.standard_normal((1, n)), [[d]]
+    )
+    lo, hi = np.sort(rng.uniform(-2.0, 2.0, 2))
+    loop = SlopeLoop(ss, lo, hi)
+    line, tol = Line(lam), 1e-6
+    slopes = [float(k) for k in np.linspace(lo, hi, n_slopes)]
+
+    got, err = _outcome(lambda: sector_slope_gain(loop, p, line, tol, n_slopes))
+    want, want_err = _outcome(lambda: _sweep_slope_by_slope(loop, p, line, tol, slopes))
+    if want_err is not None:
+        assert type(err) is type(want_err)
+        assert getattr(err, "slope", None) == getattr(want_err, "slope", None)
+        assert getattr(err, "actual", None) == getattr(want_err, "actual", None)
+        return
+    assert err is None
+    assert [k for k, _ in got.evaluations] == slopes
+    # both paths measure |G| with a relative error of about eps * max(1, |G|)
+    # (k L / (1 - k L) against the closed loop's own Schur form), so large
+    # gains agree to a correspondingly looser relative tolerance
+    for (_, value), ref in zip(got.evaluations, want):
+        assert value == pytest.approx(ref, rel=1e-12 * max(1.0, ref), abs=0.0)
+    assert got.gamma == pytest.approx(max(want), rel=1e-12 * max(1.0, max(want)), abs=0.0)

@@ -24,6 +24,7 @@ from stripgain import (
     singular_value_test,
     strip_norm,
 )
+from stripgain.stripnorm import coarse_grid
 
 # Damped oscillator 1/(s^2 + 2 zeta s + 1), zeta = 0.1.  The magnitude peak
 # 1/(2 zeta sqrt(1 - zeta^2)) and its location sqrt(1 - 2 zeta^2) were
@@ -258,3 +259,13 @@ def test_frequency_response_of_ss_matches_direct_solve():
     assert np.isnan(frequency_response(at_pole, 1.0, 0.0))
     static = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-2.0]])
     assert np.array_equal(frequency_response(static, lam, w), np.full(5, -2.0 + 0j))
+
+
+def test_coarse_grid_reuses_a_read_only_log_grid():
+    poles = np.array([-1.0 + 2.0j, -1.0 - 2.0j, -3.0])
+    for points in (64, 512):
+        log = np.logspace(-3.0, 3.0, points)
+        want = np.unique(np.concatenate([[0.0], log, [2.0]]))
+        first = coarse_grid(poles, points)
+        first[:] = -1.0  # a caller may write to what it gets back
+        assert np.array_equal(coarse_grid(poles, points), want)
