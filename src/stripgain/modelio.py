@@ -9,6 +9,7 @@ through the printed form unchanged.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -37,6 +38,18 @@ def _matrix(value, rows: int, cols: int, where: str) -> np.ndarray:
         raise InvalidInput("%s must be a list of rows" % where)
     if len(value) != rows:
         raise InvalidInput("%s must have %d rows, got %d" % (where, rows, len(value)))
+    # fast path: rows that are lists of plain ints and floats (type(True) is
+    # bool, so bools stay out); anything else goes through the loop below,
+    # which words the error or accepts number subclasses as before
+    if set(map(type, value)) == {list} and set(
+        map(type, itertools.chain.from_iterable(value))
+    ) <= {int, float}:
+        try:
+            data = np.array(value, dtype=float)
+        except ValueError:  # ragged rows
+            data = None
+        if data is not None and data.shape == (rows, cols) and np.isfinite(data).all():
+            return data
     data = np.zeros((rows, cols))
     for i, row in enumerate(value):
         if not isinstance(row, list):

@@ -5,12 +5,14 @@ a refined frequency grid (certified lower bound) and a level iteration on a
 Hamiltonian matrix whose imaginary-axis eigenvalues are the frequencies
 where |G| crosses the level (two-sided bracket whose lower end is a
 measured |G|; the method keeps the name "bisection").  The level iteration
-runs over a batch of same-size systems at once, so a sweep of closed loops
-shares each stacked eigensolve.  A function bounded
-on a strip attains its supremum on the boundary, so strip norms reduce to
-the two boundary lines plus an interior spot check.  The supremum norms and
-the response tables take a transfer function or a state-space model and
-evaluate it through ``frequency_response``.
+starts from the best point of a coarse grid, polished by parabolic steps,
+so a search typically settles at its first Hamiltonian test.  It runs over
+a batch of same-size systems, one rate per member, so a sweep of closed
+loops, or the two edges of a strip, share each stacked eigensolve.  A
+function bounded on a strip attains its supremum on the boundary, so strip
+norms reduce to the two boundary lines plus an interior spot check.  The
+supremum norms and the response tables take a transfer function or a
+state-space model and evaluate it through ``frequency_response``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ GRID_POINTS = 512
 GRID_OMEGA_MIN = 1e-3
 GRID_OMEGA_MAX = 1e3
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLD = 1.0 - _INVPHI
+# cap on the grid polish; a round that gains less than tol/8 ends it first
+_POLISH_ROUNDS = 20
 # LAPACK upper-triangular solve; solve_triangular's checks cost more than
 # the solve itself on a few states
 (_ztrtrs,) = sla.get_lapack_funcs(("trtrs",), (np.zeros(1, dtype=complex),))
@@ -87,8 +92,9 @@ def _pole_guard(poles: np.ndarray, region: Line | Strip) -> None:
             )
 
 
-def frequency_response(system: StateSpace | RationalFunction, lam: float, omegas):
-    """Complex G(-lam + i omega) at each omega, in the shape of omegas.
+def frequency_response(system: StateSpace | RationalFunction, lam, omegas):
+    """Complex G(-lam + i omega) at each omega, with lam broadcast against
+    omegas (one rate, or one per frequency), in the broadcast shape.
 
     A RationalFunction is evaluated from its coefficients.  A StateSpace is
     reduced once to complex Schur form A = Z T Z^H (cached on the system);
@@ -230,11 +236,11 @@ def _near_feedthrough(d, gamma):
     return np.abs(d * d - gamma * gamma) <= 1e-12 * np.maximum(1.0, gamma * gamma)
 
 
-def _hamiltonians(A, B, C, d, lam: float, gamma) -> np.ndarray:
+def _hamiltonians(A, B, C, d, lam, gamma) -> np.ndarray:
     """Stack of Hamiltonians [[F, -(gamma/R) B B'], [(gamma/R) C'C, -F']]
     with R = d^2 - gamma^2 and F = A + lam I - (d/R) B C, one per member of
-    A (K, n, n), B (K, n, 1), C (K, 1, n), d (K,) and gamma (K,).  A level
-    within the _near_feedthrough guard of |d| raises InvalidInput."""
+    A (K, n, n), B (K, n, 1), C (K, 1, n), d (K,), lam (K,) and gamma (K,).
+    A level within the _near_feedthrough guard of |d| raises InvalidInput."""
     near = _near_feedthrough(d, gamma)
     if near.any():
         k = int(near.argmax())
@@ -243,7 +249,7 @@ def _hamiltonians(A, B, C, d, lam: float, gamma) -> np.ndarray:
         )
     n = A.shape[-1]
     R = d * d - gamma * gamma
-    F = A + lam * np.eye(n) - (d / R)[:, None, None] * (B @ C)
+    F = A + lam[:, None, None] * np.eye(n) - (d / R)[:, None, None] * (B @ C)
     H = np.empty((d.size, 2 * n, 2 * n))
     H[:, :n, :n] = F
     H[:, :n, n:] = -(gamma / R)[:, None, None] * (B @ B.transpose(0, 2, 1))
@@ -258,7 +264,9 @@ def build_hamiltonian(ss: StateSpace, gamma: float, line: Line) -> HamiltonianMa
     require_siso(ss, "build_hamiltonian")
     if ss.n == 0:
         raise InvalidInput("Hamiltonian requires at least one state")
-    H = _hamiltonians(ss.A[None], ss.B[None], ss.C[None], ss.D[0], line.lam, np.array([gamma]))
+    H = _hamiltonians(
+        ss.A[None], ss.B[None], ss.C[None], ss.D[0], np.array([line.lam]), np.array([gamma])
+    )
     return HamiltonianMatrix(matrix=H[0], gamma=gamma, rate=line.lam)
 
 
@@ -275,18 +283,72 @@ def _pieces(flat: np.ndarray, parts):
         start += part.size
 
 
-def _level_search(A, B, C, D, poles, line: Line, tol: float, response) -> list[NormResult]:
-    """Bracket sup |G_k| on one line for K SISO systems of one size at once.
+def _vertex(a: float, b: float, c: float, fa: float, fb: float, fc: float) -> float:
+    """Next polish point inside (a, c) for |G| values fb >= fa, fc: the
+    vertex of the parabola through the three points of 1/|G|^2 (exact at an
+    isolated mode), or a golden step into the wider side when that vertex is
+    undefined or outside (a, c)."""
+    try:
+        ua, ub, uc = 1.0 / (fa * fa), 1.0 / (fb * fb), 1.0 / (fc * fc)
+        p, q = (b - a) * (ub - uc), (b - c) * (ub - ua)
+        x = b - 0.5 * ((b - a) * p - (b - c) * q) / (p - q)
+    except ZeroDivisionError:
+        x = math.nan
+    if a < x < c:
+        return x
+    return b + _GOLD * (c - b) if c - b > b - a else b - _GOLD * (b - a)
 
-    A (K, n, n), B (K, n, 1), C (K, 1, n) and D (K,) stack the members and
-    poles[k] is member k's spectrum (checked against the line by the
-    caller); response(members, omegas) returns G_members[i](-lam + i
-    omegas[i]).  Each member's lower end starts at the larger of |D| and the
-    best point of its coarse grid; then every step tests the levels
-    lo + tol/2 of all unsettled members with one stacked eigensolve and
-    measures all their crossing midpoints with one response call (see
-    line_norm_bisection).  A member with no states or a zero lower end is
-    settled at once with the bracket (lo, lo).
+
+def _polish(starts, response, tol: float) -> dict:
+    """Refine grid maxima, one response call per round for all members.
+
+    starts holds (member, (a, b, c), (|G(a)|, |G(b)|, |G(c)|)) with b the
+    member's best grid point between its grid neighbours a < b < c.  Each
+    round measures the _vertex x and the two points |x - b|/2 either side
+    of it; the best point and its nearest neighbours become the new
+    a < b < c.  A member stops once its round gains less than tol/8.
+    Returns member -> best (omega, |G|), both measured.
+    """
+    best = {}
+    for _ in range(_POLISH_ROUNDS):
+        if not starts:
+            break
+        probes = []
+        for _, (a, b, c), f in starts:
+            x = _vertex(a, b, c, *f)
+            h = 0.5 * abs(x - b)
+            probes.append((max(x - h, 0.5 * (a + x)), x, min(x + h, 0.5 * (x + c))))
+        members = np.repeat([k for k, _, _ in starts], 3)
+        mags = np.abs(response(members, np.array(probes).reshape(-1))).reshape(-1, 3)
+        going = []
+        for (k, w, f), xs, fx in zip(starts, probes, mags.tolist()):
+            # a and c stay the outermost points; b, the best so far, is inside
+            pts = sorted(zip(w + xs, f + tuple(fx)))
+            j = max(range(1, 5), key=lambda i: pts[i][1])
+            w_new, f_new = zip(*pts[j - 1 : j + 2])
+            best[k] = (w_new[1], f_new[1])
+            if f_new[1] - f[1] >= 0.125 * tol:
+                going.append((k, w_new, f_new))
+        starts = going
+    return best
+
+
+def _level_search(A, B, C, D, poles, lams, tol: float, response) -> list[NormResult]:
+    """Bracket sup |G_k| for K SISO systems of one size at once, member k
+    on the line of rate lams[k].
+
+    A (K, n, n), B (K, n, 1), C (K, 1, n), D (K,) and lams (K,) stack the
+    members, and poles[k] is member k's spectrum (checked against its line
+    by the caller); response(members, omegas) returns
+    G_members[i](-lams[members[i]] + i omegas[i]).  Each member's lower end
+    starts at the larger of |D| and the best point of its coarse grid, which
+    _polish refines between its grid neighbours unless it is omega = 0
+    (where |G| of a real system is stationary) or the last grid point.
+    Then every step tests the levels lo + tol/2 of all unsettled members
+    with one stacked eigensolve and measures all their crossing midpoints
+    with one response call (see line_norm_bisection); from the polished
+    start a search typically settles at its first test.  A member with no
+    states or a zero lower end is settled at once with the bracket (lo, lo).
     """
     K, n = D.size, A.shape[-1]
     lo = [abs(float(x)) for x in D]
@@ -295,14 +357,20 @@ def _level_search(A, B, C, D, poles, line: Line, tol: float, response) -> list[N
         grids = [coarse_grid(p, 64) for p in poles]
         members = np.repeat(np.arange(K), [g.size for g in grids])
         vals = np.abs(response(members, np.concatenate(grids)))
+        starts = []  # (member, (a, b, c), (|G(a)|, |G(b)|, |G(c)|)) to polish
         for k, (g, v) in enumerate(zip(grids, _pieces(vals, grids))):
             j = int(v.argmax())
             if v[j] > lo[k]:
                 lo[k], peak[k] = float(v[j]), float(g[j])
+                if 0 < j < g.size - 1:
+                    w3, v3 = g[j - 1 : j + 2].tolist(), v[j - 1 : j + 2].tolist()
+                    starts.append((k, tuple(w3), tuple(v3)))
+        for k, (w, v) in _polish(starts, response, tol).items():
+            lo[k], peak[k] = v, w
     live = [k for k in range(K) if n and lo[k] > 0.0]
     hi = list(lo)
     peak = [f if k in live else 0.0 for k, f in enumerate(peak)]
-    stack = (A, B, C, D)  # restricted to the live members
+    stack = (A, B, C, D, lams)  # restricted to the live members
     if len(live) < K:
         stack = tuple(X[live] for X in stack)
     for _ in range(50):
@@ -311,7 +379,7 @@ def _level_search(A, B, C, D, poles, line: Line, tol: float, response) -> list[N
         # lo + tol would let rounding push the bracket width past tol
         gamma = np.array([lo[k] for k in live]) + 0.5 * tol
         try:
-            H = _hamiltonians(*stack, line.lam, gamma)
+            H = _hamiltonians(*stack, gamma)
         except InvalidInput as exc:
             # the one level rejected here is one within the guard of |D|:
             # the request is well formed, the tolerance too fine
@@ -337,7 +405,7 @@ def _level_search(A, B, C, D, poles, line: Line, tol: float, response) -> list[N
                 lo[k], peak[k] = float(v[j]), float(m[j])
                 unsettled.append(k)
         if len(unsettled) < len(live):
-            stack = tuple(X[unsettled] for X in (A, B, C, D))
+            stack = tuple(X[unsettled] for X in (A, B, C, D, lams))
         live = unsettled
     if live:
         raise NumericalFailure("level iteration did not settle in 50 steps")
@@ -353,13 +421,36 @@ def _level_search(A, B, C, D, poles, line: Line, tol: float, response) -> list[N
     ]
 
 
+def _line_searches(
+    system: StateSpace | RationalFunction, lines, tol: float
+) -> list[NormResult]:
+    """line_norm_bisection on each of the given lines of one system, run as
+    one batch: every step makes one stacked eigensolve and one response
+    call for all lines, through one realization and its Schur form."""
+    ss = realize(system) if isinstance(system, RationalFunction) else system
+    require_siso(ss, "line_norm_bisection")
+    _require_tol(tol)
+    poles = ss.poles()
+    for line in lines:
+        _pole_guard(poles, line)
+    K = len(lines)
+    lams = np.array([line.lam for line in lines])
+
+    def response(members, omegas):
+        return frequency_response(ss, lams[members], omegas)
+
+    A, B, C = (np.broadcast_to(X, (K,) + X.shape) for X in (ss.A, ss.B, ss.C))
+    return _level_search(A, B, C, np.repeat(ss.D[0], K), [poles] * K, lams, tol, response)
+
+
 def line_norm_bisection(
     system: StateSpace | RationalFunction, line: Line, tol: float = 1e-6
 ) -> NormResult:
     """Bracket sup |G| on a line by the measured-midpoint level iteration.
 
     The lower end lo is always a measured |G|: first the feedthrough limit
-    and the best point of a coarse grid.  Each step tests the level
+    and the best point of a coarse grid, polished inside its grid interval
+    (see _level_search).  Each step tests the level
     gamma = lo + tol/2: the imaginary-axis eigenvalues of the Hamiltonian
     at gamma are the frequencies where |G| crosses gamma, and between two
     consecutive crossings |G| - gamma keeps one sign, so |G| at the interval
@@ -368,17 +459,7 @@ def line_norm_bisection(
     (Boyd and Balakrishnan 1990, Bruinsma and Steinbuch 1990).  The name is
     kept from the bisection this iteration replaced.
     """
-    ss = realize(system) if isinstance(system, RationalFunction) else system
-    require_siso(ss, "line_norm_bisection")
-    _require_tol(tol)
-    _pole_guard(ss.poles(), line)
-
-    def response(members, omegas):
-        return frequency_response(ss, line.lam, omegas)
-
-    return _level_search(
-        ss.A[None], ss.B[None], ss.C[None], ss.D[0], [ss.poles()], line, tol, response
-    )[0]
+    return _line_searches(system, [line], tol)[0]
 
 
 def singular_value_test(
@@ -412,11 +493,13 @@ def strip_maximum(
 ) -> str:
     """Side ('lo' or 'hi') of the larger boundary value, after spot-checking
     the boundary-maximum principle: |G| at five interior rates, sampled at
-    omegas, may exceed that value by at most maxmod_slack of it."""
+    omegas (one response call), may exceed that value by at most
+    maxmod_slack of it."""
     value = max(lo_value, hi_value)
     slack = maxmod_slack(value)
-    for lam in strip.interior_rates(5):
-        worst = float(np.max(np.abs(frequency_response(system, lam, omegas))))
+    rates = strip.interior_rates(5)
+    mags = np.abs(frequency_response(system, np.array(rates)[:, None], omegas))
+    for lam, worst in zip(rates, mags.max(axis=1)):
         if worst > value + slack:
             raise NumericalFailure(
                 "interior magnitude %.6g exceeds boundary maximum %.6g at rate %g"
@@ -433,15 +516,19 @@ def strip_norm(
 ) -> NormResult:
     """Supremum of |G| over a strip with no poles in its closure.
 
-    Computed as the max of the two boundary line norms; a 5 x 5 interior
-    sample grid then cross-checks the boundary-maximum principle to within
-    maxmod_slack of the reported value.
+    Computed as the max of the two boundary line norms (the level search
+    runs both lines as one batch); a 5 x 5 interior sample grid then
+    cross-checks the boundary-maximum principle to within maxmod_slack of
+    the reported value.
     """
     if isinstance(system, RationalFunction) and not system.is_proper:
         raise ImproperTransferFunction("|G| is unbounded on every vertical strip")
     _pole_guard(_poles(system), strip)
-    lo_res = _line_norm(system, strip.lower_line, method, tol)
-    hi_res = _line_norm(system, strip.upper_line, method, tol)
+    if method == "bisection":
+        lo_res, hi_res = _line_searches(system, (strip.lower_line, strip.upper_line), tol)
+    else:
+        lo_res = _line_norm(system, strip.lower_line, method, tol)
+        hi_res = _line_norm(system, strip.upper_line, method, tol)
     peaks = [
         r.peak_frequency
         for r in (lo_res, hi_res)

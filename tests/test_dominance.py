@@ -122,6 +122,41 @@ def test_strip_gain_reports_both_edges():
     assert cert.boundary_gammas[1] == pytest.approx(0.2, abs=1e-6)
 
 
+def test_strip_gain_pole_inside_the_strip_fails_the_upper_edge_count():
+    # -1 lies inside Re(s) in (-1.5, -0.5): one pole right of -rate at the
+    # lower edge, as asked, but two at the upper edge
+    ss = siso(np.diag([0.5, -1.0, -4.0]), [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    with pytest.raises(NotPDominant) as exc:
+        strip_gain(ss, 1, Strip(0.5, 1.5))
+    assert str(exc.value) == "expected 1 eigenvalues right of the shifted axis, found 2"
+    assert exc.value.actual == 2
+
+
+def test_strip_gain_certifies_the_attaining_edge_only(monkeypatch):
+    import stripgain.dominance as dom
+
+    built = []
+    riccati = dom._riccati_certificate
+
+    def counting(ss, gamma, line, *args, **kwargs):
+        built.append(line.lam)
+        return riccati(ss, gamma, line, *args, **kwargs)
+
+    monkeypatch.setattr(dom, "_riccati_certificate", counting)
+    ss = realize(RationalFunction([0.5], [-1.0, 1.0]))
+    cert = strip_gain(ss, 1, Strip(0.5, 1.5), 1e-6, with_certificate=True)
+    assert built == [0.5]
+    # the certificate the one-line gain builds on that edge
+    edge = l2p_gain(ss, 1, Line(0.5), 1e-6, with_certificate=True)
+    assert cert.rate == 0.5
+    assert np.array_equal(cert.P, edge.P)
+    assert (cert.epsilon, cert.lmi_residual, cert.certified_gamma) == (
+        edge.epsilon,
+        edge.lmi_residual,
+        edge.certified_gamma,
+    )
+
+
 def test_feedback_compose_integrator():
     integ = realize(RationalFunction([1.0], [0.0, 1.0]))
     one = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[1.0]])

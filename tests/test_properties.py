@@ -30,6 +30,7 @@ from stripgain import (
     slope_closed_loop,
     strip_norm,
 )
+from stripgain.stripnorm import _line_searches
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 MARGIN = 0.3
@@ -131,6 +132,32 @@ def test_strip_norm_of_ss_matches_its_transfer_function(seed, order, hidden, uns
     want = strip_norm(G, strip)
     got = strip_norm(ss, strip)
     assert got.value == pytest.approx(want.value, abs=2.0 * want.tolerance)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    unstable=st.booleans(),
+    feedthrough=st.booleans(),
+)
+def test_batched_strip_edges_match_separate_line_searches(seed, n, unstable, feedthrough):
+    """The two edges of a strip searched as one batch give the brackets of
+    two separate line searches, to within the tolerance."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 1.0)
+    strip = Strip(lo, lo + rng.uniform(0.2, 1.5))
+    A = _block_form(_poles(rng, n, strip.lo, strip.hi, unstable))
+    d = rng.uniform(-1.0, 1.0) if feedthrough else 0.0
+    ss = _change_basis(
+        rng, A, rng.standard_normal((n, 1)), rng.standard_normal((1, n)), [[d]]
+    )
+    tol = 1e-6
+    lines = (strip.lower_line, strip.upper_line)
+    for got, line in zip(_line_searches(ss, lines, tol), lines):
+        want = line_norm_bisection(ss, line, tol)
+        assert got.bracket[0] <= want.bracket[1] and want.bracket[0] <= got.bracket[1]
+        assert got.value == pytest.approx(want.value, abs=tol)
 
 
 def _sweep_slope_by_slope(loop, p, line, tol, slopes):

@@ -13,6 +13,7 @@ from stripgain import (
     PoleOnLine,
     Polynomial,
     RationalFunction,
+    StateSpace,
     Strip,
     build_hamiltonian,
     decompose_line,
@@ -24,7 +25,8 @@ from stripgain import (
     singular_value_test,
     strip_norm,
 )
-from stripgain.stripnorm import coarse_grid
+from stripgain import matkernel
+from stripgain.stripnorm import coarse_grid, frequency_response
 
 # Damped oscillator 1/(s^2 + 2 zeta s + 1), zeta = 0.1.  The magnitude peak
 # 1/(2 zeta sqrt(1 - zeta^2)) and its location sqrt(1 - 2 zeta^2) were
@@ -269,3 +271,38 @@ def test_coarse_grid_reuses_a_read_only_log_grid():
         first = coarse_grid(poles, points)
         first[:] = -1.0  # a caller may write to what it gets back
         assert np.array_equal(coarse_grid(poles, points), want)
+
+
+def test_lightly_damped_strip_settles_in_one_eigensolve_per_edge(monkeypatch):
+    """A 40-state model with a pole pair 0.06 left of the strip: the coarse
+    grid misses the sharp peak on the upper edge, the polish finds it, and
+    both edges settle at their first level test, in one stacked call."""
+    rng = np.random.default_rng(40)
+    n = 40
+    A = np.zeros((n, n))
+    A[:2, :2] = [[-0.26, 2.7], [-2.7, -0.26]]
+    for k in range(2, n, 2):
+        re, im = rng.uniform(-4.0, -0.6), rng.uniform(0.1, 4.0)
+        A[k : k + 2, k : k + 2] = [[re, im], [-im, re]]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0] * rng.uniform(0.5, 2.0, n)
+    Vi = np.linalg.inv(V)
+    ss = StateSpace(
+        V @ A @ Vi, V @ rng.standard_normal((n, 1)), rng.standard_normal((1, n)) @ Vi, [[0.0]]
+    )
+    strip = Strip(0.0, 0.2)
+    ss.poles()  # cached before counting
+    stacks = []
+    eig = matkernel.eig
+
+    def counting(M):
+        stacks.append(np.shape(M))
+        return eig(M)
+
+    monkeypatch.setattr(matkernel, "eig", counting)
+    res = strip_norm(ss, strip)
+    assert stacks == [(2, 2 * n, 2 * n)]
+    assert res.attaining_boundary == "hi"
+    grid = coarse_grid(ss.poles(), 64)
+    on_grid = np.max(np.abs(frequency_response(ss, strip.hi, grid)))
+    assert res.bracket[0] - on_grid > res.tolerance
+    assert res.bracket[1] - res.bracket[0] <= res.tolerance
