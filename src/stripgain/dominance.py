@@ -120,7 +120,11 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
     """Verify p-dominance at the given rate and build a certificate.
 
     After the eigenvalue count of require_dominance, assembles P from
-    Lyapunov solutions of the two split blocks.
+    Lyapunov solutions of the two split blocks.  A verified strict residual
+    A'P + PA + 2 rate P < 0 fixes P's signature at (p, 0, n - p) by the
+    inertia theorem of Ostrowski and Schneider (1962): P is nonsingular with
+    as many negative eigenvalues as A + rate I has right of the axis, which
+    the count found to be p.  So P's inertia is not measured again.
     """
     require_dominance(ss, p, rate)
     n = ss.n
@@ -150,11 +154,6 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
         raise NumericalFailure("certificate residual is not negative: %g" % mu_max)
     eps = 0.5 * (-mu_max)
     residual = float(matkernel.sym_eig(M0 + eps * np.eye(n))[-1])
-    sig = inertia(P)
-    if sig != Inertia(p, 0, n - p):
-        raise NumericalFailure(
-            "certificate inertia %r does not match (%d, 0, %d)" % (sig, p, n - p)
-        )
     if residual > 0:
         raise NumericalFailure("strict certificate residual is positive: %g" % residual)
     return DominanceCertificate(

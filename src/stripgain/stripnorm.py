@@ -42,9 +42,9 @@ TAU_HAM = 1e-7
 GRID_POINTS = 512
 GRID_OMEGA_MIN = 1e-3
 GRID_OMEGA_MAX = 1e3
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLD = 1.0 - _INVPHI
-# cap on the grid polish; a round that gains less than tol/8 ends it first
+_GOLD = (3.0 - math.sqrt(5.0)) / 2.0
+# cap on the rounds of _polish; a round that moves a member's best point
+# and gains less than tol/8 ends that member first
 _POLISH_ROUNDS = 20
 # LAPACK upper-triangular solve; solve_triangular's checks cost more than
 # the solve itself on a few states
@@ -140,32 +140,6 @@ def coarse_grid(poles: np.ndarray, points: int) -> np.ndarray:
     return np.unique(np.concatenate([np.array([0.0]), _log_grid(points), imag[imag > 0.0]]))
 
 
-def _golden_max(f, a: float, b: float):
-    """Golden-section maximization; returns (omega, value) of the best point."""
-    best_w, best_v = a, f(a)
-    vb = f(b)
-    if vb > best_v:
-        best_w, best_v = b, vb
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(120):
-        if b - a <= 1e-10 * (1.0 + abs(b)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    for w, v in ((c, fc), (d, fd)):
-        if v > best_v:
-            best_w, best_v = w, v
-    return best_w, best_v
-
-
 def _local_maxima(vals: np.ndarray) -> np.ndarray:
     """Ascending indices k with vals[k] >= both neighbours (a missing
     neighbour counts as -inf)."""
@@ -178,9 +152,13 @@ def line_norm_grid(
 ) -> NormResult:
     """Grid estimate (lower bound) of sup |G| on a vertical line.
 
-    Local maxima of the sampled magnitude are polished by golden-section
-    search on their bracketing grid intervals; for a biproper G the limiting
-    value at infinite frequency competes as a candidate as well.
+    Every interior local maximum of the sampled magnitude is polished
+    between its grid neighbours by _polish, the level search's refiner, all
+    of them with one response call per round, to a gain below 1e-9 of the
+    best grid value.  The end points stay as sampled: the default grid
+    starts at omega = 0, where |G| of a real system is stationary.  For a
+    biproper G the limiting value at infinite frequency competes as a
+    candidate as well.
     """
     if isinstance(system, RationalFunction):
         if not system.is_proper:
@@ -200,20 +178,20 @@ def line_norm_grid(
     vals = np.abs(frequency_response(system, line.lam, omegas))
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("magnitude overflow on the frequency grid")
-    best_w = float(omegas[int(np.argmax(vals))])
-    best_v = float(np.max(vals))
+    j = int(np.argmax(vals))
+    best_w, best_v = float(omegas[j]), float(vals[j])
+    starts = [
+        (k, tuple(omegas[k - 1 : k + 2].tolist()), tuple(vals[k - 1 : k + 2].tolist()))
+        for k in _local_maxima(vals)
+        if 0 < k < omegas.size - 1
+    ]
 
-    def f(w: float) -> float:
-        return float(np.abs(frequency_response(system, line.lam, w)))
+    def response(members, w):
+        return frequency_response(system, line.lam, w)
 
-    n = omegas.size
-    for k in _local_maxima(vals):
-        a = omegas[max(k - 1, 0)]
-        b = omegas[min(k + 1, n - 1)]
-        if b > a:
-            w, v = _golden_max(f, float(a), float(b))
-            if v > best_v:
-                best_w, best_v = w, v
+    for w, v in _polish(starts, response, 1e-9 * max(1.0, best_v)).values():
+        if v > best_v:
+            best_w, best_v = w, v
     peak = best_w
     if limit > best_v:
         best_v = limit
@@ -306,8 +284,10 @@ def _polish(starts, response, tol: float) -> dict:
     member's best grid point between its grid neighbours a < b < c.  Each
     round measures the _vertex x and the two points |x - b|/2 either side
     of it; the best point and its nearest neighbours become the new
-    a < b < c.  A member stops once its round gains less than tol/8.
-    Returns member -> best (omega, |G|), both measured.
+    a < b < c.  A round that leaves b in place still narrows (a, c), so
+    the member goes on; it stops once a round moves b and gains less than
+    tol/8, or after _POLISH_ROUNDS rounds.  Returns member -> best
+    (omega, |G|), both measured.
     """
     best = {}
     for _ in range(_POLISH_ROUNDS):
@@ -327,7 +307,7 @@ def _polish(starts, response, tol: float) -> dict:
             j = max(range(1, 5), key=lambda i: pts[i][1])
             w_new, f_new = zip(*pts[j - 1 : j + 2])
             best[k] = (w_new[1], f_new[1])
-            if f_new[1] - f[1] >= 0.125 * tol:
+            if w_new[1] == w[1] or f_new[1] - f[1] >= 0.125 * tol:
                 going.append((k, w_new, f_new))
         starts = going
     return best

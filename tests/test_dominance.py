@@ -283,11 +283,9 @@ def test_sector_slope_gain_through_a_pole_of_the_loop_on_the_line():
         assert value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_strip_gain_needs_no_certificate_of_dominance():
-    # degree 8, one pole at +0.17 and seven at Re <= -4.76; at these rates
-    # the dominance certificate has a near-zero eigenvalue, but a gain only
-    # needs the eigenvalue count
-    G = RationalFunction(
+def f2_model():
+    """Degree 8, one pole at +0.17 and seven at Re <= -4.76."""
+    return RationalFunction(
         [
             3.9264279685732659, 88.87398613359936, -53.484650214658032,
             -51.407777190685245, -30.286840442215933, -1.1977501076490453,
@@ -299,8 +297,26 @@ def test_strip_gain_needs_no_certificate_of_dominance():
             593.39163517432598, 37.130029173770225, 1.0,
         ],
     )
+
+
+def test_strip_gain_needs_no_certificate_of_dominance():
+    # at these rates the dominance certificate has a near-zero eigenvalue,
+    # but a gain only needs the eigenvalue count
+    G = f2_model()
     strip = Strip(0.5, 1.5)
     cert = strip_gain(G, 1, strip)
     grid = strip_norm(G, strip, method="grid").value
     assert cert.bracket[1] >= grid
     assert cert.gamma == pytest.approx(grid, rel=2e-6)
+
+
+def test_dominance_certificate_with_widely_spread_eigenvalues():
+    # P's smallest positive eigenvalue is 2e-9 to 3e-9 of its largest, inside
+    # the zero band of inertia(); the verified residual alone fixes the
+    # signature (inertia theorem), and eigvalsh shows it
+    ss = realize(f2_model())
+    for r in (0.5, 1.0, 1.5):
+        cert = dominance_check(ss, 1, r)
+        assert cert.lmi_residual < 0.0
+        w = np.linalg.eigvalsh(cert.P)
+        assert (np.sum(w < 0), np.sum(w == 0), np.sum(w > 0)) == (1, 0, 7)

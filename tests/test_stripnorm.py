@@ -306,3 +306,50 @@ def test_lightly_damped_strip_settles_in_one_eigensolve_per_edge(monkeypatch):
     on_grid = np.max(np.abs(frequency_response(ss, strip.hi, grid)))
     assert res.bracket[0] - on_grid > res.tolerance
     assert res.bracket[1] - res.bracket[0] <= res.tolerance
+
+
+def test_grid_polish_is_batched(monkeypatch):
+    """The grid and its polish make a handful of response calls, not one
+    per polish point."""
+    from stripgain import stripnorm
+
+    calls = []
+    evaluate = stripnorm.frequency_response
+
+    def counting(system, lam, omegas):
+        calls.append(omegas)
+        return evaluate(system, lam, omegas)
+
+    monkeypatch.setattr(stripnorm, "frequency_response", counting)
+    res = line_norm_grid(resonant(), Line(0.0))
+    assert len(calls) <= 10
+    assert res.value == pytest.approx(1.0 / (0.2 * math.sqrt(0.99)), rel=1e-12)
+
+
+def test_polish_goes_on_after_a_round_without_gain():
+    """On this degree-6 model the first parabolic vertex overshoots the
+    peak and the round finds no better point; the narrowed interval still
+    leads the polish to the supremum."""
+    from stripgain.stripnorm import _polish
+
+    G = RationalFunction(
+        [
+            -283.91202056225006, -246.19517430867344, -42.80950771271851,
+            57.24252040385567, 35.39146011374194, 5.399652442619187,
+        ],
+        [
+            393.89132483582944, 765.0391048708017, 651.4304483239368, 312.5756329984233,
+            88.62363176587641, 14.129122355045478, 1.0,
+        ],
+    )
+    lam = 1.4650042186844854
+    w = (1.740622130818937, 1.788323913381938, 1.837332964202303)
+    f = tuple(np.abs(frequency_response(G, lam, np.array(w))).tolist())
+
+    def response(members, omegas):
+        return frequency_response(G, lam, omegas)
+
+    ((_, value),) = _polish([(0, w, f)], response, 1e-9 * f[1]).values()
+    want = line_norm_bisection(G, Line(lam)).bracket[0]
+    assert want == pytest.approx(6.3670964042, rel=1e-10)
+    assert value == pytest.approx(want, rel=1e-12)
