@@ -120,11 +120,10 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
     """Verify p-dominance at the given rate and build a certificate.
 
     After the eigenvalue count of require_dominance, assembles P from
-    Lyapunov solutions of the two split blocks.  A verified strict residual
-    A'P + PA + 2 rate P < 0 fixes P's signature at (p, 0, n - p) by the
-    inertia theorem of Ostrowski and Schneider (1962): P is nonsingular with
-    as many negative eigenvalues as A + rate I has right of the axis, which
-    the count found to be p.  So P's inertia is not measured again.
+    Lyapunov solutions of the two split blocks.  A residual A'P + PA + 2 rate P
+    below -n u ||.||_F (the symmetric eigensolver's error) fixes P's signature
+    at (p, 0, n - p) by the inertia theorem of Ostrowski and Schneider (1962),
+    so P's inertia is not measured again.
     """
     require_dominance(ss, p, rate)
     n = ss.n
@@ -150,8 +149,9 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
     M0 = At.T @ P + P @ At
     M0 = 0.5 * (M0 + M0.T)
     mu_max = float(matkernel.sym_eig(M0)[-1])
-    if mu_max >= 0:
-        raise NumericalFailure("certificate residual is not negative: %g" % mu_max)
+    err = n * np.finfo(float).eps * float(np.linalg.norm(M0))
+    if mu_max >= -err:
+        raise NumericalFailure("certificate residual %g is not below -%g" % (mu_max, err))
     eps = 0.5 * (-mu_max)
     residual = float(matkernel.sym_eig(M0 + eps * np.eye(n))[-1])
     if residual > 0:

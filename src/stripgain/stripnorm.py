@@ -147,18 +147,19 @@ def _local_maxima(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero((vals >= padded[:-2]) & (vals >= padded[2:]))
 
 
-def line_norm_grid(
-    system: StateSpace | RationalFunction, line: Line, grid: np.ndarray | None = None
-) -> NormResult:
+def line_norm_grid(system: StateSpace | RationalFunction, line: Line) -> NormResult:
     """Grid estimate (lower bound) of sup |G| on a vertical line.
 
-    Every interior local maximum of the sampled magnitude is polished
-    between its grid neighbours by _polish, the level search's refiner, all
-    of them with one response call per round, to a gain below 1e-9 of the
-    best grid value.  The end points stay as sampled: the default grid
-    starts at omega = 0, where |G| of a real system is stationary.  For a
-    biproper G the limiting value at infinite frequency competes as a
-    candidate as well.
+    Every local maximum of |G| on coarse_grid(poles, GRID_POINTS) is
+    polished between its grid neighbours by _polish, the level search's
+    refiner, all of them with one response call per round, to a gain below
+    1e-9 of the best grid value.  A lightly damped mode peaks just below
+    its pole frequency, a grid point; so a maximum at the last point is
+    polished on its one interval, as the triple (a, b, b), when that point
+    is a pole frequency above GRID_OMEGA_MAX, and stays as sampled at
+    GRID_OMEGA_MAX itself.  One at omega = 0 stays too: |G| of a real
+    system is stationary there.  For a biproper G the limiting value at
+    infinite frequency competes as a candidate as well.
     """
     if isinstance(system, RationalFunction):
         if not system.is_proper:
@@ -170,20 +171,19 @@ def line_norm_grid(
         limit = abs(float(system.D[0, 0]))
     poles = _poles(system)
     _pole_guard(poles, line)
-    omegas = coarse_grid(poles, GRID_POINTS) if grid is None else np.unique(
-        np.abs(np.asarray(grid, dtype=float))
-    )
-    if omegas.size < 2:
-        raise InvalidInput("frequency grid needs at least two points")
+    omegas = coarse_grid(poles, GRID_POINTS)
     vals = np.abs(frequency_response(system, line.lam, omegas))
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("magnitude overflow on the frequency grid")
     j = int(np.argmax(vals))
     best_w, best_v = float(omegas[j]), float(vals[j])
+    # repeating the last point gives it the triple (a, b, b)
+    w3, v3 = np.append(omegas, omegas[-1]), np.append(vals, vals[-1])
+    top = omegas.size if omegas[-1] > GRID_OMEGA_MAX else omegas.size - 1
     starts = [
-        (k, tuple(omegas[k - 1 : k + 2].tolist()), tuple(vals[k - 1 : k + 2].tolist()))
+        (k, tuple(w3[k - 1 : k + 2].tolist()), tuple(v3[k - 1 : k + 2].tolist()))
         for k in _local_maxima(vals)
-        if 0 < k < omegas.size - 1
+        if 0 < k < top
     ]
 
     def response(members, w):
@@ -281,7 +281,8 @@ def _polish(starts, response, tol: float) -> dict:
     """Refine grid maxima, one response call per round for all members.
 
     starts holds (member, (a, b, c), (|G(a)|, |G(b)|, |G(c)|)) with b the
-    member's best grid point between its grid neighbours a < b < c.  Each
+    member's best grid point between its grid neighbours a < b < c (c = b
+    at the grid's last point, where _vertex steps into (a, b)).  Each
     round measures the _vertex x and the two points |x - b|/2 either side
     of it; the best point and its nearest neighbours become the new
     a < b < c.  A round that leaves b in place still narrows (a, c), so

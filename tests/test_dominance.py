@@ -313,10 +313,15 @@ def test_strip_gain_needs_no_certificate_of_dominance():
 def test_dominance_certificate_with_widely_spread_eigenvalues():
     # P's smallest positive eigenvalue is 2e-9 to 3e-9 of its largest, inside
     # the zero band of inertia(); the verified residual alone fixes the
-    # signature (inertia theorem), and eigvalsh shows it
+    # signature (inertia theorem), and eigvalsh shows it.  The residual's
+    # largest eigenvalue, -2 epsilon, clears the eigensolver's error
+    # n u ||M0||_F by far, so its sign is verified.
     ss = realize(f2_model())
     for r in (0.5, 1.0, 1.5):
         cert = dominance_check(ss, 1, r)
+        At = ss.A + r * np.eye(ss.n)
+        M0 = At.T @ cert.P + cert.P @ At
+        assert 2.0 * cert.epsilon > 1e6 * ss.n * np.finfo(float).eps * np.linalg.norm(M0)
         assert cert.lmi_residual < 0.0
         w = np.linalg.eigvalsh(cert.P)
         assert (np.sum(w < 0), np.sum(w == 0), np.sum(w > 0)) == (1, 0, 7)

@@ -26,7 +26,7 @@ from stripgain import (
     strip_norm,
 )
 from stripgain import matkernel
-from stripgain.stripnorm import coarse_grid, frequency_response
+from stripgain.stripnorm import GRID_OMEGA_MAX, GRID_POINTS, coarse_grid, frequency_response
 
 # Damped oscillator 1/(s^2 + 2 zeta s + 1), zeta = 0.1.  The magnitude peak
 # 1/(2 zeta sqrt(1 - zeta^2)) and its location sqrt(1 - 2 zeta^2) were
@@ -324,6 +324,20 @@ def test_grid_polish_is_batched(monkeypatch):
     res = line_norm_grid(resonant(), Line(0.0))
     assert len(calls) <= 10
     assert res.value == pytest.approx(1.0 / (0.2 * math.sqrt(0.99)), rel=1e-12)
+
+
+@pytest.mark.parametrize("wn, zeta", [(2000.0, 0.01), (1e4, 0.3)])
+def test_grid_polishes_a_maximum_at_its_last_point(wn, zeta):
+    """A mode above GRID_OMEGA_MAX ends the grid at its damped frequency,
+    which then holds the grid's maximum; the peak lies in the last
+    interval, below it."""
+    G = RationalFunction([wn * wn], [wn * wn, 2.0 * zeta * wn, 1.0])
+    grid = coarse_grid(G.poles, GRID_POINTS)
+    vals = np.abs(frequency_response(G, 0.0, grid))
+    assert grid[-1] > GRID_OMEGA_MAX and vals.argmax() == grid.size - 1
+    res = line_norm_grid(G, Line(0.0))
+    assert res.value == pytest.approx(1.0 / (2.0 * zeta * math.sqrt(1.0 - zeta**2)), rel=1e-12)
+    assert grid[-2] < res.peak_frequency < grid[-1]
 
 
 def test_polish_goes_on_after_a_round_without_gain():
