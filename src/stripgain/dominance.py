@@ -147,18 +147,26 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
     P = Ti.T @ P_tilde @ Ti
     P = 0.5 * (P + P.T)
     M0 = At.T @ P + P @ At
-    M0 = 0.5 * (M0 + M0.T)
-    mu_max = float(matkernel.sym_eig(M0)[-1])
-    err = n * np.finfo(float).eps * float(np.linalg.norm(M0))
-    if mu_max >= -err:
-        raise NumericalFailure("certificate residual %g is not below -%g" % (mu_max, err))
-    eps = 0.5 * (-mu_max)
-    residual = float(matkernel.sym_eig(M0 + eps * np.eye(n))[-1])
-    if residual > 0:
-        raise NumericalFailure("strict certificate residual is positive: %g" % residual)
+    eps, residual = _strict_margin(0.5 * (M0 + M0.T), n)
     return DominanceCertificate(
         P=P, epsilon=eps, lmi_residual=residual, p=p, rate=rate
     )
+
+
+def _strict_margin(M0: np.ndarray, k: int) -> tuple[float, float]:
+    """(eps, residual) of a certificate inequality M0 + eps diag(I_k, 0) < 0,
+    M0 symmetric: eps = -mu_max / 2 for mu_max = lambda_max(M0), residual =
+    lambda_max of the strict matrix.  Both must lie below -size u ||M0||_F, the
+    symmetric eigensolver's error (||M0|| bounds the strict matrix's norm)."""
+    mu_max = float(matkernel.sym_eig(M0)[-1])
+    err = M0.shape[0] * np.finfo(float).eps * float(np.linalg.norm(M0))
+    if mu_max >= -err:
+        raise NumericalFailure("certificate residual %g is not below -%g" % (mu_max, err))
+    eps = 0.5 * (-mu_max)
+    residual = float(matkernel.sym_eig(M0 + eps * np.diag(np.arange(M0.shape[0]) < k))[-1])
+    if residual >= -err:
+        raise NumericalFailure("strict certificate residual %g is not below -%g" % (residual, err))
+    return eps, residual
 
 
 @dataclass(frozen=True)
@@ -173,23 +181,31 @@ class GainLmiReport:
         return self.residual <= 0.0
 
 
+def _gain_matrix(ss: StateSpace, P: np.ndarray, gamma: float, rate: float) -> np.ndarray:
+    """The gain inequality's symmetric matrix at eps = 0: P certifies gamma at
+    the rate when adding eps > 0 to its first n diagonal entries makes it < 0."""
+    At = _shifted(ss, rate)
+    TL = At.T @ P + P @ At + ss.C.T @ ss.C
+    TR = P @ ss.B + ss.C.T @ ss.D
+    BR = ss.D.T @ ss.D - gamma * gamma * np.eye(ss.n_inputs)
+    M = np.block([[TL, TR], [TR.T, BR]])
+    return 0.5 * (M + M.T)
+
+
 def verify_gain_lmi(
     ss: StateSpace, P, gamma: float, rate: float, eps: float = 0.0
 ) -> GainLmiReport:
     """Assemble the gain certificate inequality and report its largest
-    eigenvalue (negative means P certifies the level gamma at this rate)."""
+    eigenvalue (negative means P certifies the level gamma at this rate).
+    ``valid`` is a bare floating-point sign test of it, weaker than the
+    margin the certificate builders accept P by (_strict_margin)."""
     Pm = matkernel.as_square_matrix(P, "P")
     if Pm.shape[0] != ss.n:
         raise InvalidInput("P must be %d x %d" % (ss.n, ss.n))
     if gamma < 0 or eps < 0:
         raise InvalidInput("gamma and eps must be >= 0")
-    At = _shifted(ss, rate)
-    m = ss.n_inputs
-    TL = At.T @ Pm + Pm @ At + eps * np.eye(ss.n) + ss.C.T @ ss.C
-    TR = Pm @ ss.B + ss.C.T @ ss.D
-    BR = ss.D.T @ ss.D - gamma * gamma * np.eye(m)
-    M = np.block([[TL, TR], [TR.T, BR]])
-    M = 0.5 * (M + M.T)
+    M = _gain_matrix(ss, Pm, gamma, rate)
+    M[: ss.n, : ss.n] += eps * np.eye(ss.n)
     residual = float(matkernel.sym_eig(M)[-1])
     return GainLmiReport(residual=residual, p_inertia=inertia(Pm) if ss.n else Inertia(0, 0, 0))
 
@@ -213,17 +229,12 @@ class GainCertificate:
     boundary_gammas: tuple[float, float] | None = None
 
 
-def _riccati_certificate(
-    ss: StateSpace,
-    gamma: float,
-    line: Line,
-    tol: float,
-    p: int,
-    gamma_hi: float | None = None,
-):
+def _riccati_certificate(ss: StateSpace, gamma: float, line: Line, tol: float):
     """Try to build a gain certificate P from the Hamiltonian's stable
-    invariant subspace at an inflated level; return None when it cannot be
-    completed reliably.
+    invariant subspace at a level inflated above gamma (the bracket top);
+    return None when no rung passes _strict_margin, the one acceptance rule:
+    its strict gain inequality makes A'P + PA + 2 rate P < 0, which fixes P's
+    signature at (p, 0, n - p) by the inertia theorem.
 
     Two ladders guard the construction.  The exact subspace solution at the
     build level leaves the certificate matrix only negative semidefinite
@@ -236,13 +247,9 @@ def _riccati_certificate(
     """
     n = ss.n
     d = abs(float(ss.D[0, 0]))
-    # The level-search bracket is an absolute enclosure, so for small gains the
-    # returned midpoint may miss the supremum by more than a relative bump;
-    # build from the bracket top when it is available.
-    base_gamma = max(gamma, gamma_hi) if gamma_hi is not None else gamma
     c_scale = max(1.0, float(np.linalg.norm(ss.C) ** 2))
     for inflation in (10.0 * tol, 1e-4, 1e-3):
-        gamma_build = base_gamma * (1.0 + inflation)
+        gamma_build = gamma * (1.0 + inflation)
         if gamma_build <= d * (1.0 + 1e-9) or gamma_build <= 0.0:
             continue
         try:
@@ -261,20 +268,14 @@ def _riccati_certificate(
                 continue
             if sdim != n:
                 continue
-            X1 = Z[:n, :n]
-            X2 = Z[n:, :n]
-            if np.linalg.cond(X1) > 1e10:
+            X1, X2 = Z[:n, :n], Z[n:, :n]
+            try:
+                P = gamma_build * np.linalg.solve(X1.T, X2.T).T  # gamma_build X2 X1^-1
+                P = 0.5 * (P + P.T)
+                eps, residual = _strict_margin(_gain_matrix(ss, P, cert_gamma, line.lam), n)
+            except (np.linalg.LinAlgError, NumericalFailure):
                 continue
-            P = gamma_build * (X2 @ np.linalg.inv(X1))
-            P = 0.5 * (P + P.T)
-            base = verify_gain_lmi(ss, P, cert_gamma, line.lam, 0.0)
-            if base.residual >= 0 or base.p_inertia != Inertia(p, 0, n - p):
-                continue
-            eps = 0.5 * (-base.residual)
-            strict = verify_gain_lmi(ss, P, cert_gamma, line.lam, eps)
-            if strict.residual > 0:
-                continue
-            return P, eps, strict.residual, cert_gamma
+            return P, eps, residual, cert_gamma
     return None
 
 
@@ -288,8 +289,7 @@ def _gain_certificate(
     lmi_residual = None
     cert_gamma = None
     if with_certificate and ss.n > 0 and res.value > 0:
-        hi = res.bracket[1] if res.bracket is not None else None
-        built = _riccati_certificate(ss, res.value, line, tol, p, gamma_hi=hi)
+        built = _riccati_certificate(ss, res.bracket[1], line, tol)
         if built is not None:
             P, eps, lmi_residual, cert_gamma = built
     return GainCertificate(

@@ -8,6 +8,7 @@ were computed with 40-digit mpmath arithmetic independently of this code.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from scipy.integrate import quad
 
 import conftest
 
+import stripgain
 from stripgain import (
     ROC,
     Line,
@@ -274,11 +276,15 @@ def test_small_gain_certifies_feedback_dominance():
 
 
 def _run_cli(args):
+    # the child imports the stripgain this suite imported, installed or not
+    src = os.path.dirname(os.path.dirname(stripgain.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     t0 = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "stripgain.cli"] + args,
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     return proc, time.monotonic() - t0
 

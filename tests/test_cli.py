@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stripgain import cli
+from stripgain import RationalFunction, cli, realize, verify_gain_lmi
 from stripgain.cli import main
 from stripgain.modelio import float_repr
 
@@ -305,24 +305,39 @@ def test_norm_strip_and_tables_on_ss(capsys, tmp_path, stable_ss10):
     assert json.loads(out)["error"]["type"] == "PoleInStrip"
 
 
-def test_gain_warns_when_certificate_is_null(capsys, tmp_path, unstable):
-    # 1/((s+1)(s+2)...(s+6)): the Riccati construction finds no certificate
-    # that verifies for this companion realization.
-    model = write_model(
-        tmp_path / "g6.json",
-        {"kind": "tf", "num": [1.0],
-         "den": [720.0, 1764.0, 1624.0, 735.0, 175.0, 21.0, 1.0]},
-    )
-    code, env = run_json(capsys, ["gain", model, "--p", "0", "--line", "0", "--certificate"])
-    assert code == 0
-    assert env["results"]["certificate"] is None
-    assert any("certificate" in w for w in env["warnings"])
-    code, env = run_json(
-        capsys, ["gain", unstable, "--p", "1", "--line", "0.5", "--certificate"]
-    )
+def test_gain_warns_when_certificate_is_null(capsys, monkeypatch, unstable):
+    import stripgain.dominance as dom
+
+    argv = ["gain", unstable, "--p", "1", "--line", "0.5", "--certificate"]
+    code, env = run_json(capsys, argv)
     assert code == 0
     assert env["results"]["certificate"] is not None
     assert env["warnings"] == []
+    # no rung of the Riccati ladder yields a certificate
+    monkeypatch.setattr(dom, "_riccati_certificate", lambda *args: None)
+    code, env = run_json(capsys, argv)
+    assert code == 0
+    assert env["results"]["certificate"] is None
+    assert any("certificate" in w for w in env["warnings"])
+
+
+def test_gain_certificate_of_a_sixth_order_lag(capsys, tmp_path):
+    # 1/((s+1)(s+2)...(s+6)): P's eigenvalues span 3e-8 to 5.2, inside the
+    # zero band of inertia(); the verified strict inequality fixes P's
+    # signature, so the first rung's certificate is printed.
+    den = [720.0, 1764.0, 1624.0, 735.0, 175.0, 21.0, 1.0]
+    model = write_model(tmp_path / "g6.json", {"kind": "tf", "num": [1.0], "den": den})
+    code, env = run_json(capsys, ["gain", model, "--p", "0", "--line", "0", "--certificate"])
+    assert code == 0
+    assert env["warnings"] == []
+    cert = env["results"]["certificate"]
+    assert cert is not None
+    assert cert["certified_gamma"] >= env["results"]["gamma"] >= 1.0 / 720.0 * (1 - 1e-6)
+    rep = verify_gain_lmi(
+        realize(RationalFunction([1.0], den)), cert["P"], cert["certified_gamma"], 0.0,
+        cert["epsilon"],
+    )
+    assert rep.valid and rep.residual == cert["lmi_residual"]
 
 
 def test_csv_lines_matches_per_cell_float_repr():

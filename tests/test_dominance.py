@@ -8,6 +8,7 @@ from stripgain import (
     MarginalRate,
     NotPDominant,
     NotPDominantAtSlope,
+    NumericalFailure,
     Polynomial,
     RationalFunction,
     SlopeLoop,
@@ -325,3 +326,38 @@ def test_dominance_certificate_with_widely_spread_eigenvalues():
         assert cert.lmi_residual < 0.0
         w = np.linalg.eigvalsh(cert.P)
         assert (np.sum(w < 0), np.sum(w == 0), np.sum(w > 0)) == (1, 0, 7)
+
+
+def test_strict_margin_accepts_only_residuals_below_the_eigensolver_error():
+    from stripgain.dominance import _strict_margin
+
+    assert _strict_margin(np.diag([-1.0, -0.5]), 2) == (0.25, -0.25)
+    # the strict residual -5e-21 lies inside the margin 2 u ||M0||_F
+    with pytest.raises(NumericalFailure):
+        _strict_margin(np.diag([-1.0, -1e-20]), 2)
+    # eps weights the first k diagonal entries only: diag(-0.75, -0.5)
+    assert _strict_margin(np.diag([-1.0, -0.5]), 1) == (0.25, -0.5)
+
+
+def test_riccati_ladder_moves_on_when_the_margin_fails(monkeypatch):
+    import stripgain.dominance as dom
+
+    margin = dom._strict_margin
+    calls = []
+
+    def failing_first(M0, k):
+        calls.append(M0)
+        if len(calls) == 1:
+            raise NumericalFailure("certificate residual is not below the margin")
+        return margin(M0, k)
+
+    ss = realize(RationalFunction([0.5], [-1.0, 1.0]))
+    want = l2p_gain(ss, 1, Line(0.5), 1e-6, with_certificate=True)
+    monkeypatch.setattr(dom, "_strict_margin", failing_first)
+    got = l2p_gain(ss, 1, Line(0.5), 1e-6, with_certificate=True)
+    # the first rung's P is rejected; the next eta builds another one
+    assert len(calls) == 2
+    assert got.P is not None and not np.array_equal(got.P, want.P)
+    assert got.certified_gamma == want.certified_gamma
+    rep = verify_gain_lmi(ss, got.P, got.certified_gamma, 0.5, got.epsilon)
+    assert rep.residual == got.lmi_residual < 0.0

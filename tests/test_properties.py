@@ -1,5 +1,5 @@
-"""Hypothesis properties of the state-space norm path and the batched
-sector sweep.
+"""Hypothesis properties of the state-space norm path, the batched
+sector sweep and the gain certificates.
 
 Models are drawn from a seed so that every example is a well-conditioned
 realization: poles keep a margin from the rate lines and strips analyzed,
@@ -8,6 +8,7 @@ and the basis has condition number at most 4.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from stripgain import (
     StateSpace,
     StripgainError,
     Strip,
+    l2p_gain,
     line_norm_bisection,
     line_norm_grid,
     realize,
@@ -29,7 +31,9 @@ from stripgain import (
     sector_slope_gain,
     slope_closed_loop,
     strip_norm,
+    verify_gain_lmi,
 )
+from stripgain.dominance import _gain_matrix
 from stripgain.stripnorm import _line_searches
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -223,3 +227,36 @@ def test_sector_sweep_matches_slope_by_slope_searches(seed, n, feedthrough, n_sl
     for (_, value), ref in zip(got.evaluations, want):
         assert value == pytest.approx(ref, rel=1e-12 * max(1.0, ref), abs=0.0)
     assert got.gamma == pytest.approx(max(want), rel=1e-12 * max(1.0, max(want)), abs=0.0)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    unstable=st.booleans(),
+    feedthrough=st.booleans(),
+)
+def test_gain_certificate_has_the_signature_its_margin_implies(seed, n, unstable, feedthrough):
+    """Every printed gain certificate clears the eigensolver's error margin,
+    and P's signature, counted in 50-digit arithmetic, is (p, 0, n - p) as the
+    inertia theorem says."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.0, 1.0)
+    poles = _poles(rng, n, lam, lam, unstable)
+    p = sum(1 for z in poles if z.real + lam > 0)
+    d = rng.uniform(-1.0, 1.0) if feedthrough else 0.0
+    ss = _change_basis(
+        rng, _block_form(poles), rng.standard_normal((n, 1)), rng.standard_normal((1, n)), [[d]]
+    )
+    cert = l2p_gain(ss, p, Line(lam), with_certificate=True)
+    if cert.P is None:
+        return
+    gamma, eps = cert.certified_gamma, cert.epsilon
+    M = _gain_matrix(ss, cert.P, gamma, lam)
+    M[:n, :n] += eps * np.eye(n)
+    u = np.finfo(float).eps / 2.0
+    assert verify_gain_lmi(ss, cert.P, gamma, lam, eps).residual < -(n + 1) * u * np.linalg.norm(M)
+    with mpmath.workdps(50):
+        w = mpmath.eigsy(mpmath.matrix(cert.P.tolist()), eigvals_only=True)
+        signs = [mpmath.sign(x) for x in w]
+    assert (signs.count(-1), signs.count(0), signs.count(1)) == (p, 0, n - p)
