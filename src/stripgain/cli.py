@@ -241,12 +241,11 @@ def cmd_gain(args) -> int:
     warnings: list[str] = []
     notes: list[str] = []
     kind, system, digest = load_model(args.model)
-    ss = realize(system) if kind == "tf" else system
     region = _region_from_args(args, warnings)
     if isinstance(region, Line):
-        cert = l2p_gain(ss, args.p, region, args.tol, args.certificate)
+        cert = l2p_gain(system, args.p, region, args.tol, args.certificate)
     else:
-        cert = strip_gain(ss, args.p, region, args.tol, args.certificate)
+        cert = strip_gain(system, args.p, region, args.tol, args.certificate)
         if kind == "tf":
             _sec5_norm_notes(system, region, notes)
     if args.certificate and cert.P is None:

@@ -26,18 +26,15 @@ from .errors import (
     NumericalFailure,
 )
 from .rational import RationalFunction
-from .regions import TAU_LINE, Line, Strip
+from .regions import TAU_LINE, Line, Strip, _pole_guard
 from .statespace import StateSpace, realize, require_siso
 from .stripnorm import (
     _level_search,
-    _line_searches,
-    _pole_guard,
     _require_tol,
     build_hamiltonian,
-    coarse_grid,
     frequency_response,
     line_norm_bisection,
-    strip_maximum,
+    strip_norm,
 )
 
 TAU_INERTIA = 1e-8
@@ -132,7 +129,7 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
             P=np.zeros((0, 0)), epsilon=0.0, lmi_residual=0.0, p=0, rate=rate
         )
     At = _shifted(ss, rate)
-    T, A_plus, A_minus, psplit = matkernel.split_spectrum(At, 0.0, 0.0, TAU_LINE)
+    T, A_plus, A_minus, psplit = matkernel.split_spectrum(At, 0.0, 0.0)
     if psplit != p:
         raise NumericalFailure("spectral split disagrees with eigenvalue count")
     blocks = []
@@ -335,21 +332,18 @@ def strip_gain(
     Both endpoint rates must show p-dominance.  That covers the whole
     interval: the count of poles right of -rate never decreases as the rate
     grows, so a pole inside the strip already fails the count at the upper
-    edge.  The two edges are searched as one batch, five interior rates are
-    spot-checked for gain consistency with the boundary maximum, and a
-    certificate, when asked for, is built on the attaining edge only.
+    edge.  The gain is strip_norm's supremum, with its bracket, boundary
+    values and attaining side (and its interior spot check); a certificate,
+    when asked for, is built on the attaining edge only.
     """
     ss = realize(system) if isinstance(system, RationalFunction) else system
     require_siso(ss, "strip_gain")
     require_dominance(ss, p, strip.lo)
     require_dominance(ss, p, strip.hi)
-    lines = (strip.lower_line, strip.upper_line)
-    lo_res, hi_res = _line_searches(ss, lines, tol)
-    omegas = coarse_grid(ss.poles(), 64)
-    side = strip_maximum(ss, strip, lo_res.value, hi_res.value, omegas)
-    line, res = (lines[0], lo_res) if side == "lo" else (lines[1], hi_res)
+    res = strip_norm(ss, strip, tol=tol)
+    line = strip.lower_line if res.attaining_boundary == "lo" else strip.upper_line
     best = _gain_certificate(ss, p, line, res, tol, with_certificate)
-    return replace(best, boundary_gammas=(lo_res.value, hi_res.value))
+    return replace(best, boundary_gammas=res.boundary_values)
 
 
 def feedback_compose(ss1: StateSpace, ss2: StateSpace) -> StateSpace:

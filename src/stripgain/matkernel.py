@@ -17,6 +17,7 @@ from .errors import (
     NumericalFailure,
     SingularSylvester,
 )
+from .regions import TAU_LINE
 
 TAU_SYM = 1e-12
 TAU_LYAP = 1e-9
@@ -108,19 +109,6 @@ def lyap_solve(A, Q) -> np.ndarray:
     return P
 
 
-def lti_propagate(A, x0, h: float) -> np.ndarray:
-    """Propagate x0 through dx/dt = A x for time h >= 0, i.e. expm(A h) x0."""
-    Am = as_square_matrix(A)
-    x = np.asarray(x0, dtype=float)
-    if x.shape[0] != Am.shape[0]:
-        raise InvalidInput("x0 length %d does not match A" % x.shape[0])
-    if not np.isfinite(h) or h < 0:
-        raise InvalidInput("propagation time must be finite and >= 0")
-    if Am.shape[0] == 0:
-        return x.copy()
-    return sla.expm(Am * h) @ x
-
-
 def propagator(A, h: float) -> np.ndarray:
     """Matrix exponential expm(A h) for signed h (convenience for steppers)."""
     Am = as_square_matrix(A)
@@ -131,13 +119,13 @@ def propagator(A, h: float) -> np.ndarray:
     return sla.expm(Am * h)
 
 
-def split_spectrum(A, band_lo: float, band_hi: float, margin_rel: float = 1e-8):
+def split_spectrum(A, band_lo: float, band_hi: float):
     """Similarity transform separating spectrum about a closed real-part band.
 
     Returns (T, A_plus, A_minus, p) with inv(T) @ A @ T block diagonal,
     A_plus (p x p) carrying eigenvalues with Re > band_hi and A_minus the
     eigenvalues with Re < band_lo.  An eigenvalue whose real part falls inside
-    the band widened by margin_rel * (1 + |Re|) makes the split meaningless
+    the band widened by TAU_LINE * (1 + |Re|) makes the split meaningless
     and raises EigenvalueInStrip.
     """
     Am = as_square_matrix(A)
@@ -148,7 +136,7 @@ def split_spectrum(A, band_lo: float, band_hi: float, margin_rel: float = 1e-8):
         return np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), 0
     w = np.linalg.eigvals(Am)
     re = w.real
-    tol = margin_rel * (1.0 + np.abs(re))
+    tol = TAU_LINE * (1.0 + np.abs(re))
     inside = (re >= band_lo - tol) & (re <= band_hi + tol)
     if np.any(inside):
         bad = w[inside][0]

@@ -18,8 +18,8 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from . import matkernel
-from .errors import InvalidInput, NumericalFailure, PoleInStrip, PoleProximity
-from .regions import TAU_LINE, Strip
+from .errors import InvalidInput, NumericalFailure, PoleProximity
+from .regions import Strip, _pole_guard
 
 TAU_ROOT = 1e-8
 TAU_GCD = 1e-9
@@ -502,18 +502,6 @@ def pole_partition(G: RationalFunction, strip: Strip) -> PolePartition:
     """
     if not isinstance(strip, Strip):
         raise InvalidInput("pole_partition expects a Strip")
-    right = 0
-    left = 0
-    for p in G.poles:
-        re = p.real
-        tol = TAU_LINE * (1.0 + abs(re))
-        if -strip.hi - tol <= re <= -strip.lo + tol:
-            raise PoleInStrip(
-                "pole %s lies in or on the strip Re(s) in [%g, %g]"
-                % (p, -strip.hi, -strip.lo)
-            )
-        if re > -strip.lo:
-            right += 1
-        else:
-            left += 1
-    return PolePartition(right=right, left=left)
+    _pole_guard(G.poles, strip)
+    right = int(np.count_nonzero(G.poles.real > -strip.lo))
+    return PolePartition(right=right, left=G.poles.size - right)

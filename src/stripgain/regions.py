@@ -12,11 +12,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInput
+from .errors import InvalidInput, PoleInStrip, PoleOnLine
 
 # relative distance, 1e-8 * (1 + |Re|), within which a pole or eigenvalue
 # counts as sitting on a rate line or a strip boundary
 TAU_LINE = 1e-8
+
+
+def _pole_guard(poles, region: Line | Strip) -> None:
+    """Reject a pole within TAU_LINE * (1 + |Re|) of a line or closed strip."""
+    lo, hi = (region.lam, region.lam) if isinstance(region, Line) else (region.lo, region.hi)
+    for p in poles:
+        tol = TAU_LINE * (1.0 + abs(p.real))
+        if -hi - tol <= p.real <= -lo + tol:
+            if isinstance(region, Line):
+                raise PoleOnLine("pole %s lies on the line Re(s) = %g" % (p, -lo))
+            raise PoleInStrip(
+                "pole %s lies in or on the strip Re(s) in [%g, %g]" % (p, -hi, -lo)
+            )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .errors import (
     WindowTooShort,
 )
 from .rational import Polynomial, RationalFunction
-from .regions import TAU_LINE, Line, Strip
+from .regions import Line, Strip
 
 TAU_TAIL = 1e-6
 
@@ -225,9 +225,7 @@ def _band_of(region) -> tuple[float, float]:
 def modal_split(ss: StateSpace, region: Strip | Line) -> ModalSplit:
     """Split a system into subsystems with spectra on either side of a strip."""
     band_lo, band_hi = _band_of(region)
-    T, A_plus, A_minus, p = matkernel.split_spectrum(
-        ss.A, band_lo, band_hi, margin_rel=TAU_LINE
-    )
+    T, A_plus, A_minus, p = matkernel.split_spectrum(ss.A, band_lo, band_hi)
     n = ss.n
     if n == 0:
         empty = StateSpace(

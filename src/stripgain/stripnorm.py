@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,11 +30,9 @@ from .errors import (
     ImproperTransferFunction,
     InvalidInput,
     NumericalFailure,
-    PoleInStrip,
-    PoleOnLine,
 )
 from .rational import Polynomial, RationalFunction, partial_fractions, recombine
-from .regions import TAU_LINE, Line, Strip
+from .regions import Line, Strip, _pole_guard
 from .statespace import StateSpace, modal_split, realize, require_siso
 
 TAU_HAM = 1e-7
@@ -77,19 +75,6 @@ class NormResult:
 
 def _poles(system: StateSpace | RationalFunction) -> np.ndarray:
     return system.poles if isinstance(system, RationalFunction) else system.poles()
-
-
-def _pole_guard(poles: np.ndarray, region: Line | Strip) -> None:
-    """Reject a pole within TAU_LINE * (1 + |Re|) of a line or closed strip."""
-    lo, hi = (region.lam, region.lam) if isinstance(region, Line) else (region.lo, region.hi)
-    for p in poles:
-        tol = TAU_LINE * (1.0 + abs(p.real))
-        if -hi - tol <= p.real <= -lo + tol:
-            if isinstance(region, Line):
-                raise PoleOnLine("pole %s lies on the line Re(s) = %g" % (p, -lo))
-            raise PoleInStrip(
-                "pole %s lies in or on the strip Re(s) in [%g, %g]" % (p, -hi, -lo)
-            )
 
 
 def frequency_response(system: StateSpace | RationalFunction, lam, omegas):
@@ -465,30 +450,6 @@ def _line_norm(system, line: Line, method: str, tol: float) -> NormResult:
     raise InvalidInput("unknown method %r (expected 'grid' or 'bisection')" % method)
 
 
-def strip_maximum(
-    system: StateSpace | RationalFunction,
-    strip: Strip,
-    lo_value: float,
-    hi_value: float,
-    omegas: np.ndarray,
-) -> str:
-    """Side ('lo' or 'hi') of the larger boundary value, after spot-checking
-    the boundary-maximum principle: |G| at five interior rates, sampled at
-    omegas (one response call), may exceed that value by at most
-    maxmod_slack of it."""
-    value = max(lo_value, hi_value)
-    slack = maxmod_slack(value)
-    rates = strip.interior_rates(5)
-    mags = np.abs(frequency_response(system, np.array(rates)[:, None], omegas))
-    for lam, worst in zip(rates, mags.max(axis=1)):
-        if worst > value + slack:
-            raise NumericalFailure(
-                "interior magnitude %.6g exceeds boundary maximum %.6g at rate %g"
-                % (worst, value, lam)
-            )
-    return "lo" if lo_value >= hi_value else "hi"
-
-
 def strip_norm(
     system: StateSpace | RationalFunction,
     strip: Strip,
@@ -498,36 +459,31 @@ def strip_norm(
     """Supremum of |G| over a strip with no poles in its closure.
 
     Computed as the max of the two boundary line norms (the level search
-    runs both lines as one batch); a 5 x 5 interior sample grid then
-    cross-checks the boundary-maximum principle to within maxmod_slack of
-    the reported value.
+    runs both lines as one batch), attained on the side 'lo' or 'hi'.  |G|
+    at five interior rates, sampled on coarse_grid(poles, 64) with one
+    response call, then cross-checks the boundary-maximum principle: no
+    sample may exceed the reported value by more than maxmod_slack of it.
     """
     if isinstance(system, RationalFunction) and not system.is_proper:
         raise ImproperTransferFunction("|G| is unbounded on every vertical strip")
-    _pole_guard(_poles(system), strip)
+    poles = _poles(system)
+    _pole_guard(poles, strip)
     if method == "bisection":
         lo_res, hi_res = _line_searches(system, (strip.lower_line, strip.upper_line), tol)
     else:
         lo_res = _line_norm(system, strip.lower_line, method, tol)
         hi_res = _line_norm(system, strip.upper_line, method, tol)
-    peaks = [
-        r.peak_frequency
-        for r in (lo_res, hi_res)
-        if math.isfinite(r.peak_frequency) and r.peak_frequency > 0
-    ]
-    base = max(peaks) if peaks else 1.0
-    omegas = np.unique(np.array([0.0, 0.5 * base, base, 2.0 * base, 4.0 * base]))
-    attaining = strip_maximum(system, strip, lo_res.value, hi_res.value, omegas)
-    att_res = lo_res if attaining == "lo" else hi_res
-    return NormResult(
-        value=att_res.value,
-        method=method,
-        peak_frequency=att_res.peak_frequency,
-        tolerance=att_res.tolerance,
-        bracket=att_res.bracket,
-        attaining_boundary=attaining,
-        boundary_values=(lo_res.value, hi_res.value),
-    )
+    value = max(lo_res.value, hi_res.value)
+    rates = strip.interior_rates(5)
+    mags = np.abs(frequency_response(system, np.array(rates)[:, None], coarse_grid(poles, 64)))
+    for lam, worst in zip(rates, mags.max(axis=1)):
+        if worst > value + maxmod_slack(value):
+            raise NumericalFailure(
+                "interior magnitude %.6g exceeds boundary maximum %.6g at rate %g"
+                % (worst, value, lam)
+            )
+    side, res = ("lo", lo_res) if lo_res.value >= hi_res.value else ("hi", hi_res)
+    return replace(res, attaining_boundary=side, boundary_values=(lo_res.value, hi_res.value))
 
 
 def h2_line_norm(G: RationalFunction, line: Line) -> float:

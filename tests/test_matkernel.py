@@ -58,14 +58,6 @@ def test_propagator_matches_series():
     assert np.allclose(matkernel.propagator(A, h), approx, atol=1e-8)
 
 
-def test_lti_propagate_matches_expm():
-    rng = np.random.RandomState(5)
-    A = rng.randn(4, 4)
-    x0 = rng.randn(4)
-    got = matkernel.lti_propagate(A, x0, 0.7)
-    assert np.allclose(got, sla.expm(0.7 * A) @ x0, rtol=1e-10)
-
-
 def test_split_spectrum_separates_sides():
     A = np.diag([2.0, -3.0, 0.5, -1.0]) + np.triu(np.ones((4, 4)), 1)
     T, A_plus, A_minus, p = matkernel.split_spectrum(A, -0.2, -0.2)

@@ -7,6 +7,7 @@ and the basis has condition number at most 4.
 """
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -30,9 +31,11 @@ from stripgain import (
     require_dominance,
     sector_slope_gain,
     slope_closed_loop,
+    strip_gain,
     strip_norm,
     verify_gain_lmi,
 )
+from stripgain import dominance
 from stripgain.dominance import _gain_matrix
 from stripgain.stripnorm import _line_searches
 
@@ -162,6 +165,46 @@ def test_batched_strip_edges_match_separate_line_searches(seed, n, unstable, fee
         want = line_norm_bisection(ss, line, tol)
         assert got.bracket[0] <= want.bracket[1] and want.bracket[0] <= got.bracket[1]
         assert got.value == pytest.approx(want.value, abs=tol)
+
+
+def _stable_model(rng, n, tf, lo, hi):
+    """A model with every pole left of the rate band [lo, hi] widened by
+    MARGIN: a StateSpace of n states, or a transfer function of degree
+    1 + n % 8 (strictly proper or biproper)."""
+    if tf:
+        poles = _poles(rng, 1 + n % 8, lo, hi, False)
+        den = np.real(np.polynomial.polynomial.polyfromroots(poles))
+        return RationalFunction(rng.standard_normal(int(rng.integers(1, len(poles) + 2))), den)
+    A = _block_form(_poles(rng, n, lo, hi, False))
+    return _change_basis(
+        rng, A, rng.standard_normal((n, 1)), rng.standard_normal((1, n)), [[0.0]]
+    )
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), tf=st.booleans())
+def test_gain_at_p0_is_the_supremum_norm(seed, n, tf):
+    """On a stable model the weighted gain at p = 0 is the supremum of |G|:
+    l2p_gain certifies line_norm_bisection's result, and strip_gain
+    strip_norm's, with the same value, bracket, peak, boundary values and
+    attaining side."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 1.0)
+    strip = Strip(lo, lo + rng.uniform(0.2, 1.5))
+    line = Line(rng.uniform(0.0, strip.hi))
+    G = _stable_model(rng, n, tf, strip.lo, strip.hi)
+    with mock.patch.object(
+        dominance, "_gain_certificate", wraps=dominance._gain_certificate
+    ) as certify:
+        line_gain = l2p_gain(G, 0, line)
+        edge_gain = strip_gain(G, 0, strip)
+    line_norm = line_norm_bisection(G, line)
+    norm = strip_norm(G, strip)
+    assert [call.args[3] for call in certify.call_args_list] == [line_norm, norm]
+    assert (line_gain.gamma, line_gain.bracket) == (line_norm.value, line_norm.bracket)
+    assert (edge_gain.gamma, edge_gain.bracket) == (norm.value, norm.bracket)
+    assert edge_gain.boundary_gammas == norm.boundary_values
+    assert edge_gain.rate == (strip.lo if norm.attaining_boundary == "lo" else strip.hi)
 
 
 def _sweep_slope_by_slope(loop, p, line, tol, slopes):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from stripgain import (
     line_norm_grid,
     realize,
     singular_value_test,
+    strip_gain,
     strip_norm,
 )
-from stripgain import matkernel
+from stripgain import matkernel, stripnorm
 from stripgain.stripnorm import GRID_OMEGA_MAX, GRID_POINTS, coarse_grid, frequency_response
 
 # Damped oscillator 1/(s^2 + 2 zeta s + 1), zeta = 0.1.  The magnitude peak
@@ -141,6 +143,28 @@ def test_strip_norm_rejects_pole_inside():
     G = RationalFunction([1.0], [1.0, 1.0])
     with pytest.raises(PoleInStrip):
         strip_norm(G, Strip(0.5, 1.5))
+
+
+def _strip_gain_at_p0(G, strip):
+    return strip_gain(G, 0, strip)
+
+
+@pytest.mark.parametrize("supremum", [strip_norm, _strip_gain_at_p0])
+def test_interior_spot_check_rejects_a_low_boundary_maximum(monkeypatch, supremum):
+    """Edge searches that report half the true supremum of 1/(s + 5) on
+    the strip (0, 1) are caught by the interior spot check: at rate 1/6,
+    |G| = 0.207 exceeds the halved edge maximum 0.125."""
+    searches = stripnorm._line_searches
+
+    def halved(system, lines, tol):
+        return [
+            replace(r, value=0.5 * r.value, bracket=(0.5 * r.bracket[0], 0.5 * r.bracket[1]))
+            for r in searches(system, lines, tol)
+        ]
+
+    monkeypatch.setattr(stripnorm, "_line_searches", halved)
+    with pytest.raises(NumericalFailure, match="interior magnitude .* exceeds boundary maximum"):
+        supremum(RationalFunction([1.0], [5.0, 1.0]), Strip(0.0, 1.0))
 
 
 def test_strip_norm_interior_never_exceeds_boundary_seeded():
