@@ -58,9 +58,9 @@ NYQUIST_HEADER = "omega,re,im,mag,disk_radius"
 BODE_HEADER = "omega,mag_db,phase_deg"
 
 # Recorded benchmark values for the lag-perturbed double-integrator loop.
-# They are printed as annotations whenever that exact configuration is
-# analyzed; this implementation does not reproduce them (see the computed
-# results next to each note).
+# example-sec5 prints them as a note when run on exactly that configuration;
+# this implementation does not reproduce them (see the computed results next
+# to the note).
 SEC5_STRIP = (1.0, 2.0)
 SEC5_LAG_NORMS = ("1.1111", "1.0526")
 SEC5_LOOP_GAINS = ("0.3528", "0.1414")
@@ -120,47 +120,6 @@ def _model_ss(path: str):
     return system, kind, digest
 
 
-def _coeffs_close(got, want, rel=1e-9) -> bool:
-    if len(got) != len(want):
-        return False
-    return all(abs(g - w) <= rel * max(1.0, abs(w)) for g, w in zip(got, want))
-
-
-def _is_sec5_lag(G: RationalFunction) -> bool:
-    return _coeffs_close(G.num.coeffs, (0.0, -1.0)) and _coeffs_close(
-        G.den.coeffs, (10.0, 1.0)
-    )
-
-
-def _is_sec5_loop(G: RationalFunction) -> bool:
-    return _coeffs_close(G.num.coeffs, (1.0,)) and _coeffs_close(
-        G.den.coeffs, (-1.0, 0.0, 5.0, 1.0)
-    )
-
-
-def _is_sec5_strip(region) -> bool:
-    return isinstance(region, Strip) and region.lo == SEC5_STRIP[0] and region.hi == SEC5_STRIP[1]
-
-
-def _sec5_norm_notes(G: RationalFunction, region, notes) -> None:
-    if not _is_sec5_strip(region):
-        return
-    if _is_sec5_lag(G):
-        notes.append(
-            "benchmark configuration detected: recorded edge norms for this "
-            "lag block are %s and %s; they were not reproduced here, the "
-            "computed boundary values are in results"
-            % SEC5_LAG_NORMS
-        )
-    if _is_sec5_loop(G):
-        notes.append(
-            "benchmark configuration detected: recorded edge gains for this "
-            "closed loop are %s and %s; they were not reproduced here, the "
-            "computed boundary values are in results"
-            % SEC5_LOOP_GAINS
-        )
-
-
 def _norm_result_fields(res) -> dict:
     out = {
         "value": res.value,
@@ -176,8 +135,7 @@ def _norm_result_fields(res) -> dict:
 
 def cmd_norm(args) -> int:
     warnings: list[str] = []
-    notes: list[str] = []
-    kind, system, digest = load_model(args.model)
+    _, system, digest = load_model(args.model)
     region = _region_from_args(args, warnings)
     if isinstance(region, Line):
         res = _line_norm(system, region, args.method, args.tol)
@@ -192,9 +150,7 @@ def cmd_norm(args) -> int:
         results.update(_norm_result_fields(res))
         results["attaining_boundary"] = res.attaining_boundary
         results["boundary_values"] = list(res.boundary_values)
-        if kind == "tf":
-            _sec5_norm_notes(system, region, notes)
-    _emit(_envelope("norm", [(args.model, digest)], results, warnings, notes))
+    _emit(_envelope("norm", [(args.model, digest)], results, warnings, []))
     return EXIT_OK
 
 
@@ -239,15 +195,12 @@ def _gain_cert_fields(cert) -> dict:
 
 def cmd_gain(args) -> int:
     warnings: list[str] = []
-    notes: list[str] = []
-    kind, system, digest = load_model(args.model)
+    _, system, digest = load_model(args.model)
     region = _region_from_args(args, warnings)
     if isinstance(region, Line):
         cert = l2p_gain(system, args.p, region, args.tol, args.certificate)
     else:
         cert = strip_gain(system, args.p, region, args.tol, args.certificate)
-        if kind == "tf":
-            _sec5_norm_notes(system, region, notes)
     if args.certificate and cert.P is None:
         warnings.append(
             "a certificate was requested but none could be built; "
@@ -255,7 +208,7 @@ def cmd_gain(args) -> int:
         )
     results = {"mode": "line" if isinstance(region, Line) else "strip"}
     results.update(_gain_cert_fields(cert))
-    _emit(_envelope("gain", [(args.model, digest)], results, warnings, notes))
+    _emit(_envelope("gain", [(args.model, digest)], results, warnings, []))
     return EXIT_OK
 
 
@@ -558,7 +511,7 @@ def cmd_example_sec5(args) -> int:
         args.tau == 0.1
         and args.d == 5.0
         and args.ki == -1.0
-        and _is_sec5_strip(strip)
+        and (strip.lo, strip.hi) == SEC5_STRIP
     ):
         notes.append(
             "recorded benchmark values for this configuration: lag norms "

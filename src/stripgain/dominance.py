@@ -26,7 +26,7 @@ from .errors import (
     NumericalFailure,
 )
 from .rational import RationalFunction
-from .regions import TAU_LINE, Line, Strip, _pole_guard
+from .regions import Line, Strip, _on_band
 from .statespace import StateSpace, realize, require_siso
 from .stripnorm import (
     _level_search,
@@ -76,10 +76,9 @@ def _shifted(ss: StateSpace, lam: float) -> np.ndarray:
 def require_dominance(ss: StateSpace, p: int, rate: float) -> None:
     """Check p-dominance at the given rate by counting eigenvalues.
 
-    Counts eigenvalues of A + rate*I (the system's cached poles shifted by
-    rate) right of the imaginary axis: an eigenvalue numerically on the axis
-    raises MarginalRate, a count other than p raises NotPDominant.  No
-    certificate is built.
+    Counts the system's cached poles right of the line Re(s) = -rate: a pole
+    on the line by the rule of regions._on_band raises MarginalRate, a count
+    other than p raises NotPDominant.  No certificate is built.
     """
     if not isinstance(ss, StateSpace):
         raise InvalidInput("dominance_check expects a StateSpace")
@@ -93,18 +92,12 @@ def _require_count(poles: np.ndarray, p: int, rate: float) -> None:
         raise InvalidInput("p must lie in [0, %d], got %d" % (n, p))
     if not math.isfinite(rate) or rate < 0:
         raise InvalidInput("rate must be finite and >= 0")
-    if n == 0:
-        if p != 0:
-            raise NotPDominant("static system has no dynamic modes", expected=p, actual=0)
-        return
-    eigs = poles + rate
-    for mu in eigs:
-        if abs(mu.real) <= TAU_LINE * (1.0 + abs(mu.real)):
-            raise MarginalRate(
-                "eigenvalue %s of the shifted matrix sits on the axis; "
-                "dominance at rate %g is marginal" % (mu, rate)
-            )
-    count = int(np.count_nonzero(eigs.real > 0))
+    count, near = _on_band(poles, rate, rate)
+    if near is not None:
+        raise MarginalRate(
+            "eigenvalue %s of the shifted matrix sits on the axis; "
+            "dominance at rate %g is marginal" % (near + rate, rate)
+        )
     if count != p:
         raise NotPDominant(
             "expected %d eigenvalues right of the shifted axis, found %d" % (p, count),
@@ -247,8 +240,6 @@ def _riccati_certificate(ss: StateSpace, gamma: float, line: Line, tol: float):
     c_scale = max(1.0, float(np.linalg.norm(ss.C) ** 2))
     for inflation in (10.0 * tol, 1e-4, 1e-3):
         gamma_build = gamma * (1.0 + inflation)
-        if gamma_build <= d * (1.0 + 1e-9) or gamma_build <= 0.0:
-            continue
         try:
             H0 = build_hamiltonian(ss, gamma_build, line).matrix
         except (InvalidInput, NumericalFailure, ValueError):
@@ -516,10 +507,10 @@ def sector_slope_gain(
     Every sampled slope must keep the closed loop p-dominant at the rate;
     a failing slope raises NotPDominantAtSlope.  The returned gamma is the
     max of the per-slope gains (the slope grid stands in for a continuous
-    sector search).  The slopes are checked in order (well-posed loop,
-    dominance, no pole on the line) and then searched as one batch, with
-    the closed-loop responses k L / (1 - k L) read through L's own Schur
-    form.
+    sector search).  The slopes are checked in order (well-posed loop, then
+    dominance, whose count rejects a pole on the line) and then searched as
+    one batch, with the closed-loop responses k L / (1 - k L) read through
+    L's own Schur form.
     """
     L = loop.linear
     require_siso(L, "sector_slope_gain")
@@ -543,13 +534,12 @@ def sector_slope_gain(
                 expected=p,
                 actual=exc.actual,
             ) from exc
-        _pole_guard(poles, line)
     if D.size < slopes.size:
         raise _ill_posed(slopes[D.size])
 
     def response(members, omegas):
         # at a pole of L the closed loop tends to -1 (no slope is 0 then:
-        # the loop at slope 0 is L, whose poles the guard keeps off the line)
+        # the loop at slope 0 is L, whose poles the count keeps off the line)
         with np.errstate(divide="ignore", invalid="ignore"):
             kL = slopes[members] * frequency_response(L, line.lam, omegas)
             return np.where(np.isfinite(kL), kL / (1.0 - kL), -1.0)

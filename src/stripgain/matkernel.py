@@ -17,7 +17,7 @@ from .errors import (
     NumericalFailure,
     SingularSylvester,
 )
-from .regions import TAU_LINE
+from .regions import _on_band
 
 TAU_SYM = 1e-12
 TAU_LYAP = 1e-9
@@ -124,9 +124,9 @@ def split_spectrum(A, band_lo: float, band_hi: float):
 
     Returns (T, A_plus, A_minus, p) with inv(T) @ A @ T block diagonal,
     A_plus (p x p) carrying eigenvalues with Re > band_hi and A_minus the
-    eigenvalues with Re < band_lo.  An eigenvalue whose real part falls inside
-    the band widened by TAU_LINE * (1 + |Re|) makes the split meaningless
-    and raises EigenvalueInStrip.
+    eigenvalues with Re < band_lo.  An eigenvalue on the band, by the rule of
+    regions._on_band, makes the split meaningless and raises
+    EigenvalueInStrip.
     """
     Am = as_square_matrix(A)
     n = Am.shape[0]
@@ -134,24 +134,18 @@ def split_spectrum(A, band_lo: float, band_hi: float):
         raise InvalidInput("band_lo must not exceed band_hi")
     if n == 0:
         return np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), 0
-    w = np.linalg.eigvals(Am)
-    re = w.real
-    tol = TAU_LINE * (1.0 + np.abs(re))
-    inside = (re >= band_lo - tol) & (re <= band_hi + tol)
-    if np.any(inside):
-        bad = w[inside][0]
+    p, bad = _on_band(np.linalg.eigvals(Am), -band_hi, -band_lo)
+    if bad is not None:
         raise EigenvalueInStrip(
             "eigenvalue %s lies within tolerance of the band [%g, %g]"
             % (bad, band_lo, band_hi)
         )
-    mid = 0.5 * (band_lo + band_hi)
-    p = int(np.count_nonzero(re > mid))
     if p == 0:
         return np.eye(n), np.zeros((0, 0)), Am.copy(), 0
     if p == n:
         return np.eye(n), Am.copy(), np.zeros((0, 0)), n
 
-    T_schur, Z, sdim = sla.schur(Am, output="real", sort=lambda r, i: r > mid)
+    T_schur, Z, sdim = sla.schur(Am, output="real", sort=lambda r, i: r > band_hi)
     if sdim != p:
         raise NumericalFailure(
             "Schur reordering selected %d eigenvalues, expected %d" % (sdim, p)

@@ -496,12 +496,11 @@ def recombine(poly_part: Polynomial, terms: Sequence[PartialFractionTerm]) -> Ra
 def pole_partition(G: RationalFunction, strip: Strip) -> PolePartition:
     """Count poles on each side of a strip, rejecting poles inside it.
 
-    A pole within TAU_LINE * (1 + |Re pole|) of the closed strip boundary is
-    treated as inside and raises PoleInStrip, because side counts that close
-    to the boundary are not trustworthy.
+    A pole on the closed strip, by the rule of regions._on_band, raises
+    PoleInStrip, because side counts that close to the boundary are not
+    trustworthy.
     """
     if not isinstance(strip, Strip):
         raise InvalidInput("pole_partition expects a Strip")
-    _pole_guard(G.poles, strip)
-    right = int(np.count_nonzero(G.poles.real > -strip.lo))
+    right = _pole_guard(G.poles, strip)
     return PolePartition(right=right, left=G.poles.size - right)

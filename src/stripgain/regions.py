@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInput, PoleInStrip, PoleOnLine
 
 # relative distance, 1e-8 * (1 + |Re|), within which a pole or eigenvalue
@@ -19,17 +21,30 @@ from .errors import InvalidInput, PoleInStrip, PoleOnLine
 TAU_LINE = 1e-8
 
 
-def _pole_guard(poles, region: Line | Strip) -> None:
-    """Reject a pole within TAU_LINE * (1 + |Re|) of a line or closed strip."""
+def _on_band(eigs, lo: float, hi: float):
+    """The one on-line rule, for eigenvalues against the closed rate interval
+    [lo, hi] (the band -hi <= Re s <= -lo): returns (count, near), the count of
+    eigenvalues right of Re s = -lo and the first eigenvalue within
+    TAU_LINE * (1 + |Re|) of the band, or None."""
+    w = np.asarray(eigs)
+    re = w.real
+    tol = TAU_LINE * (1.0 + np.abs(re))
+    near = np.flatnonzero((re >= -hi - tol) & (re <= -lo + tol))
+    return int(np.count_nonzero(re > -lo)), (w[near[0]] if near.size else None)
+
+
+def _pole_guard(poles, region: Line | Strip) -> int:
+    """Count the poles right of a line or closed strip, rejecting one on it
+    by the rule of _on_band."""
     lo, hi = (region.lam, region.lam) if isinstance(region, Line) else (region.lo, region.hi)
-    for p in poles:
-        tol = TAU_LINE * (1.0 + abs(p.real))
-        if -hi - tol <= p.real <= -lo + tol:
-            if isinstance(region, Line):
-                raise PoleOnLine("pole %s lies on the line Re(s) = %g" % (p, -lo))
-            raise PoleInStrip(
-                "pole %s lies in or on the strip Re(s) in [%g, %g]" % (p, -hi, -lo)
-            )
+    count, near = _on_band(poles, lo, hi)
+    if near is not None:
+        if isinstance(region, Line):
+            raise PoleOnLine("pole %s lies on the line Re(s) = %g" % (near, -lo))
+        raise PoleInStrip(
+            "pole %s lies in or on the strip Re(s) in [%g, %g]" % (near, -hi, -lo)
+        )
+    return count
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stripgain import (
+    EigenvalueInStrip,
     IllPosed,
     InvalidInput,
     Line,
@@ -9,6 +10,7 @@ from stripgain import (
     NotPDominant,
     NotPDominantAtSlope,
     NumericalFailure,
+    PoleOnLine,
     Polynomial,
     RationalFunction,
     SlopeLoop,
@@ -20,7 +22,10 @@ from stripgain import (
     inertia,
     l2p_gain,
     line_norm_bisection,
+    line_norm_grid,
+    modal_split,
     realize,
+    require_dominance,
     sector_slope_gain,
     slope_closed_loop,
     small_gain_check,
@@ -69,6 +74,24 @@ def test_dominance_check_marginal_rate():
     ss = siso(np.diag([-1.0, -3.0]), [1.0, 1.0], [1.0, 0.0])
     with pytest.raises(MarginalRate):
         dominance_check(ss, 1, 1.0)
+
+
+def test_one_on_line_verdict_for_a_pole_near_a_far_line():
+    # 5e-7 from the line at rate 100: inside TAU_LINE * (1 + |Re|), so every
+    # entry point calls the pole on the line
+    ss = siso([[-100.0 - 5e-7]], [1.0], [1.0])
+    for check in (
+        lambda: require_dominance(ss, 0, 100.0),
+        lambda: dominance_check(ss, 0, 100.0),
+        lambda: l2p_gain(ss, 0, Line(100.0)),
+        lambda: strip_gain(ss, 0, Strip(1.0, 100.0)),
+    ):
+        with pytest.raises(MarginalRate):
+            check()
+    with pytest.raises(PoleOnLine):
+        line_norm_grid(ss, Line(100.0))
+    with pytest.raises(EigenvalueInStrip):
+        modal_split(ss, Line(100.0))
 
 
 def test_dominance_certificate_seeded():

@@ -16,9 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stripgain import (
+    EigenvalueInStrip,
     Line,
+    MarginalRate,
     NotPDominant,
     NotPDominantAtSlope,
+    PoleOnLine,
     RationalFunction,
     SlopeLoop,
     StateSpace,
@@ -27,6 +30,7 @@ from stripgain import (
     l2p_gain,
     line_norm_bisection,
     line_norm_grid,
+    modal_split,
     realize,
     require_dominance,
     sector_slope_gain,
@@ -303,3 +307,37 @@ def test_gain_certificate_has_the_signature_its_margin_implies(seed, n, unstable
         w = mpmath.eigsy(mpmath.matrix(cert.P.tolist()), eigvals_only=True)
         signs = [mpmath.sign(x) for x in w]
     assert (signs.count(-1), signs.count(0), signs.count(1)) == (p, 0, n - p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    rate=st.floats(0.0, 1e3),
+    delta=st.floats(-3e-8, 3e-8),
+)
+@example(seed=0, n=1, rate=100.0, delta=5e-7 / 101.0)
+def test_one_rule_decides_whether_a_pole_sits_on_the_line(seed, n, rate, delta):
+    """A pole placed either side of the edge of the on-line band gets one
+    verdict from the dominance count, the grid norm and the modal split, and
+    when none rejects it the count is the split's p."""
+    rng = np.random.default_rng(seed)
+    poles = -rate + rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 50.0, n)
+    poles[rng.integers(n)] = -rate - delta * (1.0 + rate)
+    ss = StateSpace(np.diag(poles), np.ones((n, 1)), np.ones((1, n)), [[0.0]])
+    line = Line(rate)
+    try:
+        p = modal_split(ss, line).p
+    except EigenvalueInStrip:
+        p = None
+    try:
+        line_norm_grid(ss, line)
+        grid_on_line = False
+    except PoleOnLine:
+        grid_on_line = True
+    assert grid_on_line == (p is None)
+    if p is None:
+        with pytest.raises(MarginalRate):
+            require_dominance(ss, 0, rate)
+    else:
+        require_dominance(ss, p, rate)
