@@ -7,6 +7,24 @@ dominance certificates count and certify eigenvalues right of a shifted
 axis, and the two notions combine through a small-gain feedback test.
 """
 
+import os
+
+# numpy and scipy each load their own OpenBLAS, each with a thread pool
+# sized to the machine.  On matrices of at most a few hundred rows the two
+# pools only contend, so both libraries are loaded single-threaded unless
+# the caller chose a thread count.  The variable is read when each OpenBLAS
+# loads and removed again, so os.environ and child processes are unchanged.
+if any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    import numpy
+    import scipy.linalg
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+        import scipy.linalg
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (
     DivergentIntegral,
     EigenvalueInStrip,

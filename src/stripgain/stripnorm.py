@@ -86,7 +86,8 @@ def frequency_response(system: StateSpace | RationalFunction, lam, omegas):
     each frequency then costs one O(n^2) back-substitution through sI - T.
     The Python loop runs over whichever is fewer: the states, each step
     vectorised over the frequencies, or the frequencies, each one LAPACK
-    triangular solve.
+    triangular solve.  Either way G is NaN, without a warning, where s is
+    a pole (a diagonal entry of T).
     """
     s = -lam + 1j * omegas
     if isinstance(system, RationalFunction):
@@ -105,8 +106,14 @@ def frequency_response(system: StateSpace | RationalFunction, lam, omegas):
             if info:  # sk is a pole: LAPACK left the column unsolved
                 X[:, k] = np.nan
     else:
+        # a pole's column is solved at a point outside the spectrum instead
+        # (no division by zero) and then reported as NaN, as the loop does
+        pole = (flat == np.diag(T)[:, None]).any(axis=0)
+        if pole.any():
+            flat = np.where(pole, 1.0 + np.abs(np.diag(T)).max(), flat)
         for i in range(n - 1, -1, -1):
             X[i] = (b[i, 0] + T[i, i + 1 :] @ X[i + 1 :]) / (flat - T[i, i])
+        X[:, pole] = np.nan
     return (c[0] @ X + system.D[0, 0]).reshape(s.shape)
 
 

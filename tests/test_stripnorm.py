@@ -283,6 +283,11 @@ def test_frequency_response_of_ss_matches_direct_solve():
     # G is undefined at a pole; the solve reports it rather than returning b
     at_pole = StateSpace(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
     assert np.isnan(frequency_response(at_pole, 1.0, 0.0))
+    # more frequencies than states: the vectorised path, without a warning
+    # (warnings are errors), NaN only at the pole
+    got = frequency_response(at_pole, 1.0, np.array([0.0, 1.0, 2.0]))
+    assert np.isnan(got[0])
+    assert np.allclose(got[1:], [1 / 1j + 1 / (1 + 1j), 1 / 2j + 1 / (1 + 2j)], rtol=1e-15)
     static = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-2.0]])
     assert np.array_equal(frequency_response(static, lam, w), np.full(5, -2.0 + 0j))
 
