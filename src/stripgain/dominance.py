@@ -93,7 +93,7 @@ def _require_count(poles: np.ndarray, p: int, rate: float) -> None:
     if not math.isfinite(rate) or rate < 0:
         raise InvalidInput("rate must be finite and >= 0")
     count, near = _on_band(poles, rate, rate)
-    if near is not None:
+    if not np.isnan(near):
         raise MarginalRate(
             "eigenvalue %s of the shifted matrix sits on the axis; "
             "dominance at rate %g is marginal" % (near + rate, rate)
@@ -102,18 +102,29 @@ def _require_count(poles: np.ndarray, p: int, rate: float) -> None:
         raise NotPDominant(
             "expected %d eigenvalues right of the shifted axis, found %d" % (p, count),
             expected=p,
-            actual=count,
+            actual=int(count),
         )
+
+
+def _first_failing(spectra: np.ndarray, p: int, rate: float) -> int | None:
+    """Index of the first spectrum in a stack (K, n) that _require_count
+    rejects, by one count of the whole stack, or None."""
+    count, near = _on_band(spectra, rate, rate)
+    bad = np.flatnonzero(~np.isnan(near) | (count != p))
+    return int(bad[0]) if bad.size else None
 
 
 def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate:
     """Verify p-dominance at the given rate and build a certificate.
 
-    After the eigenvalue count of require_dominance, assembles P from
-    Lyapunov solutions of the two split blocks.  A residual A'P + PA + 2 rate P
-    below -n u ||.||_F (the symmetric eigensolver's error) fixes P's signature
-    at (p, 0, n - p) by the inertia theorem of Ostrowski and Schneider (1962),
-    so P's inertia is not measured again.
+    After the eigenvalue count of require_dominance, the system's cached
+    real Schur form is reordered to the rate line and decoupled
+    (matkernel.schur_split), and P is assembled from Lyapunov solutions on
+    the two diagonal blocks, mapped back by the split's closed-form inverse:
+    no factorisation beyond the one per system.  A residual
+    A'P + PA + 2 rate P below -n u ||.||_F (the symmetric eigensolver's
+    error) fixes P's signature at (p, 0, n - p) by the inertia theorem of
+    Ostrowski and Schneider (1962), so P's inertia is not measured again.
     """
     require_dominance(ss, p, rate)
     n = ss.n
@@ -121,21 +132,17 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
         return DominanceCertificate(
             P=np.zeros((0, 0)), epsilon=0.0, lmi_residual=0.0, p=0, rate=rate
         )
-    At = _shifted(ss, rate)
-    T, A_plus, A_minus, psplit = matkernel.split_spectrum(At, 0.0, 0.0)
-    if psplit != p:
-        raise NumericalFailure("spectral split disagrees with eigenvalue count")
-    blocks = []
+    split = matkernel.schur_split(ss.schur, -rate, p)
+    T, w, Si = split.T + rate * np.eye(n), split.w + rate, split.inverse
+    P = np.zeros((n, n))
     if p:
-        P_plus = matkernel.lyap_solve(A_plus, -np.eye(p))
-        blocks.append(-P_plus)
+        P_plus = matkernel.lyap_quasi(T[:p, :p], w[:p], -np.eye(p))
+        P -= Si[:p].T @ P_plus @ Si[:p]
     if n - p:
-        P_minus = matkernel.lyap_solve(A_minus, np.eye(n - p))
-        blocks.append(P_minus)
-    P_tilde = sla.block_diag(*blocks) if blocks else np.zeros((0, 0))
-    Ti = np.linalg.inv(T)
-    P = Ti.T @ P_tilde @ Ti
+        P_minus = matkernel.lyap_quasi(T[p:, p:], w[p:], np.eye(n - p))
+        P += Si[p:].T @ P_minus @ Si[p:]
     P = 0.5 * (P + P.T)
+    At = _shifted(ss, rate)
     M0 = At.T @ P + P @ At
     eps, residual = _strict_margin(0.5 * (M0 + M0.T), n)
     return DominanceCertificate(
@@ -508,9 +515,10 @@ def sector_slope_gain(
     a failing slope raises NotPDominantAtSlope.  The returned gamma is the
     max of the per-slope gains (the slope grid stands in for a continuous
     sector search).  The slopes are checked in order (well-posed loop, then
-    dominance, whose count rejects a pole on the line) and then searched as
-    one batch, with the closed-loop responses k L / (1 - k L) read through
-    L's own Schur form.
+    dominance, whose count rejects a pole on the line; one count for the
+    stack of all slopes' spectra, the first failing slope raising) and then
+    searched as one batch, with the closed-loop responses k L / (1 - k L)
+    read through L's own Schur form.
     """
     L = loop.linear
     require_siso(L, "sector_slope_gain")
@@ -523,14 +531,15 @@ def sector_slope_gain(
         slopes = np.linspace(loop.slope_lo, loop.slope_hi, n_slopes)
     A, B, C, D = _slope_family(L, slopes)
     spectra = matkernel.eig(A)
-    for slope, poles in zip(slopes, spectra):
+    k = _first_failing(spectra, p, line.lam)
+    if k is not None:
         try:
-            _require_count(poles, p, line.lam)
+            _require_count(spectra[k], p, line.lam)
         except NotPDominant as exc:
             raise NotPDominantAtSlope(
                 "closed loop at slope %g is not %d-dominant at rate %g (%s)"
-                % (slope, p, line.lam, exc),
-                slope=float(slope),
+                % (slopes[k], p, line.lam, exc),
+                slope=float(slopes[k]),
                 expected=p,
                 actual=exc.actual,
             ) from exc

@@ -1,12 +1,22 @@
 """Dense matrix facilities used by the rest of the package.
 
-Thin wrappers around numpy/scipy routines (eigensolvers, Lyapunov solves,
-matrix exponentials, ordered Schur splits) that add the input validation and
-residual checks the higher-level modules rely on.  Matrices are plain float64
-ndarrays throughout; complex input is rejected at the boundary.
+Thin wrappers around numpy/scipy/LAPACK routines (eigensolvers, Lyapunov
+solves, matrix exponentials, spectral splits) that add the input validation
+and residual checks the higher-level modules rely on.  Matrices are plain
+float64 ndarrays throughout; complex input is rejected at the boundary.
+
+A matrix is factored once into its real Schur form (``real_schur``), and
+everything that needs the factorisation is read off that form: the complex
+triangular form of the frequency responses (``complex_schur``), the
+reordered and decoupled split about any vertical line (``schur_split``),
+and Lyapunov solves by back substitution (``lyap_quasi``; Bartels and
+Stewart, CACM 1972).  A split at a new line costs only an O(n^2) reordering
+per swap and triangular Sylvester solves, no new factorisation.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -21,6 +31,8 @@ from .regions import _on_band
 
 TAU_SYM = 1e-12
 TAU_LYAP = 1e-9
+
+_dgees, _dtrsen, _dtrsyl = sla.get_lapack_funcs(("gees", "trsen", "trsyl"), (np.zeros(1),))
 
 
 def as_square_matrix(A, name="A") -> np.ndarray:
@@ -50,13 +62,67 @@ def eig(A) -> np.ndarray:
     return np.sort_complex(w)
 
 
-def schur_complex(A) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form A = Z T Z^H: (T upper triangular, Z unitary)."""
+@dataclass(frozen=True)
+class RealSchur:
+    """Real Schur form A = Z T Z' (LAPACK dgees), T, Z and w read-only.
+
+    Z is orthogonal and T upper quasi-triangular: each complex pair is a
+    standardized 2 x 2 diagonal block [[a, b], [c, a]] with b c < 0.  w
+    holds T's eigenvalues in diagonal order, the first of a pair with
+    positive imaginary part.  A is the factored matrix, kept for the
+    residual checks of what is derived from the form.
+    """
+
+    A: np.ndarray
+    T: np.ndarray
+    Z: np.ndarray
+    w: np.ndarray
+
+
+def real_schur(A) -> RealSchur:
+    """Factor a real square matrix into its real Schur form."""
     M = as_square_matrix(A)
-    try:
-        return sla.schur(M, output="complex")
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalFailure("Schur reduction failed: %s" % exc) from exc
+    if M.shape[0] == 0:
+        T, Z, w = np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, dtype=complex)
+    else:
+        T, _, wr, wi, Z, _, info = _dgees(lambda re, im: None, M)
+        if info:
+            raise NumericalFailure("Schur reduction failed (LAPACK info %d)" % info)
+        w = wr + 1j * wi
+    for X in (T, Z, w):
+        X.setflags(write=False)
+    return RealSchur(M, T, Z, w)
+
+
+def complex_schur(S: RealSchur) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form A = Z T Z^H (T upper triangular, Z unitary)
+    derived from the real one.
+
+    The unitary G = [[g, -s], [s, conj(g)]], (g, s) = (w_k - a, c) / r,
+    triangularizes the 2 x 2 block [[a, b], [c, a]] at rows k, k + 1 (the
+    rotation of scipy's rsf2csf).  The blocks are disjoint, so each rotation
+    reads only its own block, and all of them apply at once: T <- G^H T G
+    and Z <- Z G for the block-diagonal G, whose products with a matrix M
+    are M d + M[:, swap] e and conj(d) M + e M[swap] for G's diagonal d,
+    its off-diagonal entries e (s at k, -s at k + 1) and the swap of each
+    block's two indices.
+    """
+    k = np.flatnonzero(np.diag(S.T, -1))
+    if not k.size:
+        return S.T.astype(complex), S.Z.astype(complex)
+    n = S.T.shape[0]
+    mu, c = S.w[k] - S.T[k + 1, k + 1], S.T[k + 1, k]
+    r = np.hypot(np.abs(mu), c)
+    d = np.ones(n, dtype=complex)
+    d[k], d[k + 1] = mu / r, mu.conj() / r
+    e = np.zeros(n)
+    e[k], e[k + 1] = c / r, -c / r
+    swap = np.arange(n)
+    swap[k], swap[k + 1] = k + 1, k
+    T = S.T * d + S.T[:, swap] * e
+    T = d.conj()[:, None] * T + e[:, None] * T[swap]
+    T[k + 1, k] = 0.0
+    return T, S.Z * d + S.Z[:, swap] * e
 
 
 def sym_eig(M) -> np.ndarray:
@@ -74,39 +140,54 @@ def sym_eig(M) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (A + A.T))
 
 
-def lyap_solve(A, Q) -> np.ndarray:
-    """Solve A^T P + P A = -Q for symmetric P.
+def lyap_quasi(T, w, Q) -> np.ndarray:
+    """Solve T' P + P T = -Q for symmetric P, T upper quasi-triangular (a
+    real Schur form) with eigenvalues w, by back substitution (LAPACK
+    dtrsyl).
 
-    Raises SingularSylvester when eigenvalues of A pair to (near) zero sums,
-    which is exactly when the equation loses unique solvability.
+    Raises SingularSylvester when eigenvalues of T pair to (near) zero sums,
+    which is exactly when the equation loses unique solvability, and
+    NumericalFailure when the residual exceeds TAU_LYAP of the scale.
     """
-    Am = as_square_matrix(A)
-    Qm = as_square_matrix(Q, "Q")
-    if Am.shape != Qm.shape:
-        raise InvalidInput("A and Q must share a shape")
-    n = Am.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    w = np.linalg.eigvals(Am)
-    scale = max(1.0, np.linalg.norm(Am))
-    pair_sums = np.abs(w[:, None] + w[None, :])
-    if pair_sums.min() <= 1e-12 * scale:
+    scale = max(1.0, np.linalg.norm(T))
+    if np.abs(w[:, None] + w[None, :]).min() <= 1e-12 * scale:
         raise SingularSylvester(
             "spectrum of A has (near) mirror-symmetric eigenvalue pair; "
             "Lyapunov equation is singular"
         )
-    try:
-        P = sla.solve_continuous_lyapunov(Am.T, -Qm)
-    except Exception as exc:
-        raise NumericalFailure("Lyapunov solve failed: %s" % exc) from exc
+    P, shrink, info = _dtrsyl(T, T, -Q, trana="T")
+    if info < 0:
+        raise NumericalFailure("Lyapunov solve failed (LAPACK info %d)" % info)
+    return _lyap_checked(T, P / shrink, Q)
+
+
+def _lyap_checked(A, P, Q) -> np.ndarray:
+    """Symmetrized P, once A' P + P A + Q is within the residual bound."""
     P = 0.5 * (P + P.T)
-    resid = np.linalg.norm(Am.T @ P + P @ Am + Qm)
-    bound = TAU_LYAP * (np.linalg.norm(Am) * np.linalg.norm(P) + np.linalg.norm(Qm) + 1.0)
+    resid = np.linalg.norm(A.T @ P + P @ A + Q)
+    bound = TAU_LYAP * (np.linalg.norm(A) * np.linalg.norm(P) + np.linalg.norm(Q) + 1.0)
     if resid > bound:
         raise NumericalFailure(
             "Lyapunov residual %.3e exceeds tolerance %.3e" % (resid, bound)
         )
     return P
+
+
+def lyap_solve(A, Q) -> np.ndarray:
+    """Solve A^T P + P A = -Q for symmetric P.
+
+    Solved by lyap_quasi on the real Schur form of A, whose errors it
+    raises; the residual bound is checked again on A itself.
+    """
+    Am = as_square_matrix(A)
+    Qm = as_square_matrix(Q, "Q")
+    if Am.shape != Qm.shape:
+        raise InvalidInput("A and Q must share a shape")
+    if Am.shape[0] == 0:
+        return np.zeros((0, 0))
+    S = real_schur(Am)
+    P = S.Z @ lyap_quasi(S.T, S.w, S.Z.T @ Qm @ S.Z) @ S.Z.T
+    return _lyap_checked(Am, P, Qm)
 
 
 def propagator(A, h: float) -> np.ndarray:
@@ -119,23 +200,90 @@ def propagator(A, h: float) -> np.ndarray:
     return sla.expm(Am * h)
 
 
+@dataclass(frozen=True)
+class SchurSplit:
+    """A real Schur form reordered so that its first p eigenvalues lie
+    right of a vertical line, and decoupled there.
+
+    With T = [[T11, T12], [0, T22]] (T11 p x p) and T11 X - X T22 = -T12,
+    the transform S = Z [[I, X], [0, I]] gives inv(S) A S =
+    blkdiag(T11, T22), and inv(S) = [[I, -X], [0, I]] Z' in closed form.
+    w holds T's eigenvalues in diagonal order.
+    """
+
+    T: np.ndarray
+    Z: np.ndarray
+    w: np.ndarray
+    X: np.ndarray
+    p: int
+
+    @property
+    def transform(self) -> np.ndarray:
+        S = self.Z.copy()
+        S[:, self.p :] += self.Z[:, : self.p] @ self.X
+        return S
+
+    @property
+    def inverse(self) -> np.ndarray:
+        Si = self.Z.T.copy()
+        Si[: self.p] -= self.X @ self.Z.T[self.p :]
+        return Si
+
+
+def schur_split(S: RealSchur, cut: float, p: int) -> SchurSplit:
+    """Split a factored matrix about the line Re s = cut, with p, the
+    caller's count of eigenvalues right of it.
+
+    The eigenvalues of S.T with real part above cut are moved to the top
+    (LAPACK dtrsen, no new factorisation) and the diagonal blocks are
+    decoupled by a triangular Sylvester solve (dtrsyl).  Raises
+    NumericalFailure when the reordering selects other than p eigenvalues
+    or the split misses A by more than its residual bound.
+    """
+    n = S.T.shape[0]
+    T, Z, wr, wi, m, _, _, info = _dtrsen(np.diag(S.T) > cut, S.T, S.Z, job="N")
+    if info:
+        raise NumericalFailure("Schur reordering failed (LAPACK info %d)" % info)
+    if m != p:
+        raise NumericalFailure(
+            "Schur reordering selected %d eigenvalues, expected %d" % (m, p)
+        )
+    X = np.zeros((p, n - p))
+    if 0 < p < n:
+        X, shrink, info = _dtrsyl(T[:p, :p], T[p:, p:], -T[:p, p:], isgn=-1)
+        if info < 0:
+            raise NumericalFailure("block decoupling solve failed (LAPACK info %d)" % info)
+        X /= shrink
+    split = SchurSplit(T, Z, wr + 1j * wi, X, p)
+    A, St = S.A, split.transform
+    resid = np.linalg.norm(St[:, :p] @ T[:p, :p] - A @ St[:, :p]) + np.linalg.norm(
+        St[:, p:] @ T[p:, p:] - A @ St[:, p:]
+    )
+    if resid > 1e-7 * max(1.0, np.linalg.norm(A)) * max(1.0, np.linalg.norm(St)):
+        raise NumericalFailure("spectral split residual too large: %.3e" % resid)
+    return split
+
+
 def split_spectrum(A, band_lo: float, band_hi: float):
     """Similarity transform separating spectrum about a closed real-part band.
 
-    Returns (T, A_plus, A_minus, p) with inv(T) @ A @ T block diagonal,
-    A_plus (p x p) carrying eigenvalues with Re > band_hi and A_minus the
-    eigenvalues with Re < band_lo.  An eigenvalue on the band, by the rule of
-    regions._on_band, makes the split meaningless and raises
-    EigenvalueInStrip.
+    A is a matrix or its RealSchur (a model's cached form).  Returns
+    (T, A_plus, A_minus, p) with inv(T) @ A @ T block diagonal, A_plus
+    (p x p) carrying eigenvalues with Re > band_hi and A_minus the
+    eigenvalues with Re < band_lo.  An eigenvalue of the Schur form on the
+    band, by the rule of regions._on_band, makes the split meaningless and
+    raises EigenvalueInStrip.
     """
-    Am = as_square_matrix(A)
-    n = Am.shape[0]
     if band_lo > band_hi:
         raise InvalidInput("band_lo must not exceed band_hi")
+    S = A if isinstance(A, RealSchur) else real_schur(A)
+    Am = S.A
+    n = Am.shape[0]
     if n == 0:
         return np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), 0
-    p, bad = _on_band(np.linalg.eigvals(Am), -band_hi, -band_lo)
-    if bad is not None:
+    count, bad = _on_band(S.w, -band_hi, -band_lo)
+    p = int(count)
+    if not np.isnan(bad):
         raise EigenvalueInStrip(
             "eigenvalue %s lies within tolerance of the band [%g, %g]"
             % (bad, band_lo, band_hi)
@@ -144,25 +292,5 @@ def split_spectrum(A, band_lo: float, band_hi: float):
         return np.eye(n), np.zeros((0, 0)), Am.copy(), 0
     if p == n:
         return np.eye(n), Am.copy(), np.zeros((0, 0)), n
-
-    T_schur, Z, sdim = sla.schur(Am, output="real", sort=lambda r, i: r > band_hi)
-    if sdim != p:
-        raise NumericalFailure(
-            "Schur reordering selected %d eigenvalues, expected %d" % (sdim, p)
-        )
-    T11 = T_schur[:p, :p]
-    T12 = T_schur[:p, p:]
-    T22 = T_schur[p:, p:]
-    try:
-        X = sla.solve_sylvester(T11, -T22, -T12)
-    except Exception as exc:
-        raise NumericalFailure("block decoupling solve failed: %s" % exc) from exc
-    T = Z.copy()
-    # right-multiply by [[I, X], [0, I]]
-    T[:, p:] = Z[:, p:] + Z[:, :p] @ X
-    resid = np.linalg.norm(T[:, :p] @ T11 - Am @ T[:, :p]) + np.linalg.norm(
-        T[:, p:] @ T22 - Am @ T[:, p:]
-    )
-    if resid > 1e-7 * max(1.0, np.linalg.norm(Am)) * max(1.0, np.linalg.norm(T)):
-        raise NumericalFailure("spectral split residual too large: %.3e" % resid)
-    return T, T11.copy(), T22.copy(), p
+    split = schur_split(S, band_hi, p)
+    return split.transform, split.T[:p, :p].copy(), split.T[p:, p:].copy(), p

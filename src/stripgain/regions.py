@@ -23,14 +23,19 @@ TAU_LINE = 1e-8
 
 def _on_band(eigs, lo: float, hi: float):
     """The one on-line rule, for eigenvalues against the closed rate interval
-    [lo, hi] (the band -hi <= Re s <= -lo): returns (count, near), the count of
-    eigenvalues right of Re s = -lo and the first eigenvalue within
-    TAU_LINE * (1 + |Re|) of the band, or None."""
-    w = np.asarray(eigs)
+    [lo, hi] (the band -hi <= Re s <= -lo), on one spectrum or on each row of
+    a stack of spectra (..., n): returns (count, near) in the stack's shape,
+    the count of eigenvalues right of Re s = -lo and the first eigenvalue
+    within TAU_LINE * (1 + |Re|) of the band, or NaN where none is."""
+    w = np.asarray(eigs, dtype=complex)
     re = w.real
+    count = (re > -lo).sum(axis=-1)
+    if not w.shape[-1]:
+        return count, np.full(count.shape, np.nan, complex)[()]
     tol = TAU_LINE * (1.0 + np.abs(re))
-    near = np.flatnonzero((re >= -hi - tol) & (re <= -lo + tol))
-    return int(np.count_nonzero(re > -lo)), (w[near[0]] if near.size else None)
+    on = (re >= -hi - tol) & (re <= -lo + tol)
+    first = np.take_along_axis(w, on.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    return count, np.where(on.any(axis=-1), first, np.nan)[()]
 
 
 def _pole_guard(poles, region: Line | Strip) -> int:
@@ -38,13 +43,13 @@ def _pole_guard(poles, region: Line | Strip) -> int:
     by the rule of _on_band."""
     lo, hi = (region.lam, region.lam) if isinstance(region, Line) else (region.lo, region.hi)
     count, near = _on_band(poles, lo, hi)
-    if near is not None:
+    if not np.isnan(near):
         if isinstance(region, Line):
             raise PoleOnLine("pole %s lies on the line Re(s) = %g" % (near, -lo))
         raise PoleInStrip(
             "pole %s lies in or on the strip Re(s) in [%g, %g]" % (near, -hi, -lo)
         )
-    return count
+    return int(count)
 
 
 @dataclass(frozen=True)

@@ -105,13 +105,21 @@ class StateSpace:
         return w
 
     @cached_property
-    def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(T, Z^H B, C Z) for the complex Schur form A = Z T Z^H.
+    def schur(self) -> matkernel.RealSchur:
+        """Real Schur form A = Z T Z' (LAPACK dgees).
 
         Computed once per system (the matrices are read-only), like the
-        poles; frequency responses back-substitute through sI - T.
+        poles, and the one factorisation of A: frequency responses read
+        their complex triangular form off it (response_form), dominance
+        certificates and modal splits reorder it to any rate line.
         """
-        T, Z = matkernel.schur_complex(self.A)
+        return matkernel.real_schur(self.A)
+
+    @cached_property
+    def response_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(T, Z^H B, C Z) for the complex Schur form A = Z T Z^H derived
+        from schur; frequency responses back-substitute through sI - T."""
+        T, Z = matkernel.complex_schur(self.schur)
         return T, Z.conj().T @ self.B, self.C @ Z
 
     def __repr__(self):
@@ -225,7 +233,7 @@ def _band_of(region) -> tuple[float, float]:
 def modal_split(ss: StateSpace, region: Strip | Line) -> ModalSplit:
     """Split a system into subsystems with spectra on either side of a strip."""
     band_lo, band_hi = _band_of(region)
-    T, A_plus, A_minus, p = matkernel.split_spectrum(ss.A, band_lo, band_hi)
+    T, A_plus, A_minus, p = matkernel.split_spectrum(ss.schur, band_lo, band_hi)
     n = ss.n
     if n == 0:
         empty = StateSpace(

@@ -82,8 +82,9 @@ def frequency_response(system: StateSpace | RationalFunction, lam, omegas):
     omegas (one rate, or one per frequency), in the broadcast shape.
 
     A RationalFunction is evaluated from its coefficients.  A StateSpace is
-    reduced once to complex Schur form A = Z T Z^H (cached on the system);
-    each frequency then costs one O(n^2) back-substitution through sI - T.
+    evaluated through the complex Schur form A = Z T Z^H that its cached
+    real Schur form gives (StateSpace.response_form); each frequency then
+    costs one O(n^2) back-substitution through sI - T.
     The Python loop runs over whichever is fewer: the states, each step
     vectorised over the frequencies, or the frequencies, each one LAPACK
     triangular solve.  Either way G is NaN, without a warning, where s is
@@ -93,7 +94,7 @@ def frequency_response(system: StateSpace | RationalFunction, lam, omegas):
     if isinstance(system, RationalFunction):
         return system.eval_unchecked(s)
     require_siso(system, "frequency_response")
-    T, b, c = system.schur
+    T, b, c = system.response_form
     s = np.asarray(s)
     flat = s.reshape(-1)
     n = system.n

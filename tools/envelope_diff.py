@@ -1,0 +1,240 @@
+"""Compare the CLI output of two stripgain checkouts on the benchmark's operations.
+
+    python3 tools/envelope_diff.py PARENT CHANGE SEED [SEED ...]
+
+PARENT and CHANGE are checkout roots (each with src/stripgain).  For every
+workload and seed, the operations and model files come from this checkout's
+benchmark/inputs.py (imported, never edited), written once to a temporary
+directory.  Each checkout then runs every operation through its own
+``stripgain.cli.main`` in a subprocess of its own, and the outputs (stdout
+plus any --out file) are compared operation by operation: exit codes, byte
+identity, and the largest relative change of any printed number.  Numbers
+under the certificate fields P, epsilon and lmi_residual are reported apart,
+as are certificates printed by one checkout and null in the other.  The
+report ends with one row per workload and operation kind.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from collections import defaultdict
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CERT_KEYS = {"P", "epsilon", "lmi_residual"}
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)\b")
+DIGEST = re.compile(r"[0-9a-f]{64}")
+
+# Runs in a fresh interpreter: argv = [src, ops.json, out.json].
+RUNNER = r"""
+import contextlib, io, json, os, sys
+src, ops_path, out_path = sys.argv[1:]
+sys.path.insert(0, src)
+from stripgain import cli
+if not os.path.abspath(cli.__file__).startswith(os.path.abspath(src) + os.sep):
+    raise SystemExit("imported stripgain from %s" % cli.__file__)
+with open(ops_path, encoding="utf-8") as fh:
+    ops = json.load(fh)
+results = []
+for name, argv in ops:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code if isinstance(exc.code, int) else 3
+        except Exception as exc:
+            rc = "raised %s" % type(exc).__name__
+    files = {}
+    if "--out" in argv:
+        path = argv[argv.index("--out") + 1]
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                files[path] = fh.read()
+            os.remove(path)
+    results.append({"name": name, "rc": rc, "stdout": out.getvalue(), "files": files})
+with open(out_path, "w", encoding="utf-8") as fh:
+    json.dump(results, fh)
+"""
+
+
+def build_ops(workdir: str, seeds):
+    """(workload, seed, op name, argv) of every benchmark operation."""
+    sys.path.insert(0, os.path.join(ROOT, "benchmark"))
+    import inputs
+
+    ops = []
+    for workload in inputs.WORKLOADS:
+        for seed in seeds:
+            root = os.path.join(workdir, "%s-seed%d" % (workload, seed))
+            _, round_ops = inputs.build(workload, seed, root)
+            ops += [(workload, seed, op.name, list(op.argv)) for op in round_ops]
+    return ops
+
+
+def run_checkout(checkout: str, ops, workdir: str, tag: str):
+    src = os.path.join(os.path.abspath(checkout), "src")
+    if not os.path.isfile(os.path.join(src, "stripgain", "cli.py")):
+        raise SystemExit("envelope_diff: no stripgain sources under %s" % src)
+    ops_path = os.path.join(workdir, "ops-%s.json" % tag)
+    out_path = os.path.join(workdir, "out-%s.json" % tag)
+    with open(ops_path, "w", encoding="utf-8") as fh:
+        json.dump([[op[2], op[3]] for op in ops], fh)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    subprocess.run([sys.executable, "-c", RUNNER, src, ops_path, out_path],
+                   cwd=workdir, env=env, check=True)
+    with open(out_path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class Scan:
+    """Printed numbers of one output, in order, and the text around them.
+
+    A certificate object goes to its own Scan in ``certificates`` (None when
+    printed as null), and the warnings to ``warnings``, so the rest compares
+    even where one side has no certificate (and a warning saying so); the
+    fields in CERT_KEYS go to ``cert_numbers``.
+    """
+
+    def __init__(self):
+        self.skeleton, self.numbers, self.cert_numbers = [], [], []
+        self.certificates: list[Scan | None] = []
+        self.warnings: list = []
+
+    def text(self, text: str) -> None:
+        self.skeleton.append(NUMBER.sub("#", text))
+        self.numbers += [float(x) for x in NUMBER.findall(text)]
+
+    def walk(self, node, in_cert=False) -> None:
+        if isinstance(node, dict):
+            for key, value in node.items():
+                self.skeleton.append(key)
+                if key == "certificate":
+                    sub = None if value is None else Scan()
+                    if sub is not None:
+                        sub.walk(value)
+                    self.certificates.append(sub)
+                elif key == "warnings":
+                    self.warnings.append(value)
+                else:
+                    self.walk(value, in_cert or key in CERT_KEYS)
+        elif isinstance(node, list):
+            self.skeleton.append("[%d" % len(node))
+            for value in node:
+                self.walk(value, in_cert)
+        elif isinstance(node, bool) or node is None:
+            self.skeleton.append(repr(node))
+        elif isinstance(node, (int, float)):
+            self.skeleton.append("#")
+            (self.cert_numbers if in_cert else self.numbers).append(float(node))
+        elif DIGEST.fullmatch(node):
+            self.skeleton.append("digest")
+        else:
+            self.text(node)
+
+
+def scan(output: dict) -> Scan:
+    """Scan of one operation's printed text: a leading JSON envelope is
+    walked, everything else split into numbers and the text between them."""
+    out = Scan()
+    texts = [output["stdout"]] + [output["files"][k] for k in sorted(output["files"])]
+    for text in texts:
+        if text.startswith("{"):
+            try:
+                obj, end = json.JSONDecoder().raw_decode(text)
+            except ValueError:
+                pass
+            else:
+                out.walk(obj)
+                text = text[end:]
+        for line in text.splitlines():
+            out.text(line)
+    return out
+
+
+def max_rel(a: list, b: list) -> float:
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        scale = max(abs(x), abs(y))
+        worst = max(worst, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+    return worst
+
+
+def _numbers_rel(a: Scan, b: Scan) -> tuple[float, float]:
+    """Largest relative change outside and inside the certificate fields;
+    inf when the printed structure differs."""
+    if a.skeleton != b.skeleton or len(a.numbers) != len(b.numbers) \
+            or len(a.cert_numbers) != len(b.cert_numbers):
+        return math.inf, math.inf
+    return max_rel(a.numbers, b.numbers), max_rel(a.cert_numbers, b.cert_numbers)
+
+
+def compare(old: dict, new: dict) -> dict:
+    same_bytes = old["stdout"] == new["stdout"] and old["files"] == new["files"]
+    row = {"rc_same": old["rc"] == new["rc"], "bytes_same": same_bytes,
+           "rel": 0.0, "cert_rel": 0.0, "cert_lost": 0, "cert_gained": 0}
+    if same_bytes:
+        return row
+    a, b = scan(old), scan(new)
+    row["rel"], row["cert_rel"] = _numbers_rel(a, b)
+    for x, y in zip(a.certificates, b.certificates):
+        row["cert_lost"] += x is not None and y is None
+        row["cert_gained"] += x is None and y is not None
+        if x is not None and y is not None:
+            rel, cert_rel = _numbers_rel(x, y)
+            row["rel"], row["cert_rel"] = max(row["rel"], rel), max(row["cert_rel"], cert_rel)
+    if len(a.certificates) != len(b.certificates) or (
+        a.warnings != b.warnings and not (row["cert_lost"] or row["cert_gained"])
+    ):
+        row["rel"] = math.inf
+    return row
+
+
+def kind_of(name: str) -> str:
+    return name.split("/", 1)[1] if "/" in name else "example-sec5"
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) < 3:
+        raise SystemExit(__doc__.strip().splitlines()[2].strip())
+    parent, change, seeds = args[0], args[1], [int(s) for s in args[2:]]
+    with tempfile.TemporaryDirectory(prefix="envelope-diff-") as workdir:
+        ops = build_ops(workdir, seeds)
+        old = run_checkout(parent, ops, workdir, "parent")
+        new = run_checkout(change, ops, workdir, "change")
+    table = defaultdict(lambda: {"ops": 0, "rc_same": 0, "bytes_same": 0, "rel": 0.0,
+                                 "cert_rel": 0.0, "cert_lost": 0, "cert_gained": 0})
+    for (workload, seed, name, _), a, b in zip(ops, old, new):
+        row = compare(a, b)
+        if not (row["rc_same"] and row["bytes_same"]):
+            print("%-8s seed %-3d %-45s exit %s -> %s  numbers %.2e  certificate fields %.2e%s%s"
+                  % (workload, seed, name, a["rc"], b["rc"], row["rel"], row["cert_rel"],
+                     "  CERTIFICATE LOST" if row["cert_lost"] else "",
+                     "  certificate built" if row["cert_gained"] else ""))
+        t = table[(workload, kind_of(name))]
+        t["ops"] += 1
+        for key in ("rc_same", "bytes_same", "cert_lost", "cert_gained"):
+            t[key] += row[key]
+        t["rel"] = max(t["rel"], row["rel"])
+        t["cert_rel"] = max(t["cert_rel"], row["cert_rel"])
+    print()
+    print("| workload | operation | ops | same exit code | byte-identical | largest "
+          "relative change | in certificate fields | certificates lost | built |")
+    print("|---|---|---|---|---|---|---|---|---|")
+    for (workload, kind), t in sorted(table.items()):
+        print("| %s | %s | %d | %d | %d | %.2g | %.2g | %d | %d |"
+              % (workload, kind, t["ops"], t["rc_same"], t["bytes_same"], t["rel"],
+                 t["cert_rel"], t["cert_lost"], t["cert_gained"]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
