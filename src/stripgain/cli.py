@@ -47,7 +47,7 @@ from .laplace import (
 from .modelio import float_repr, json_text, load_model, sha256_hex
 from .rational import Polynomial, RationalFunction
 from .regions import Line, Strip
-from .statespace import realize, tf_of
+from .statespace import as_state_space, realize, tf_of
 from .stripnorm import _line_norm, frequency_response_data, strip_norm
 
 EXIT_OK = 0
@@ -113,11 +113,9 @@ def _region_from_args(args, warnings):
 
 
 def _model_ss(path: str):
-    """Load a model and return it as a state-space system."""
-    kind, system, digest = load_model(path)
-    if kind == "tf":
-        return realize(system), kind, digest
-    return system, kind, digest
+    """Load a model as a state-space system (a tf realized), and its digest."""
+    _, system, digest = load_model(path)
+    return as_state_space(system), digest
 
 
 def _norm_result_fields(res) -> dict:
@@ -135,7 +133,7 @@ def _norm_result_fields(res) -> dict:
 
 def cmd_norm(args) -> int:
     warnings: list[str] = []
-    _, system, digest = load_model(args.model)
+    system, digest = _model_ss(args.model)
     region = _region_from_args(args, warnings)
     if isinstance(region, Line):
         res = _line_norm(system, region, args.method, args.tol)
@@ -155,8 +153,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_dominance(args) -> int:
-    warnings: list[str] = []
-    ss, kind, digest = _model_ss(args.model)
+    ss, digest = _model_ss(args.model)
     cert = dominance_check(ss, args.p, args.rate)
     results = {
         "p": cert.p,
@@ -166,7 +163,7 @@ def cmd_dominance(args) -> int:
         "lmi_residual": cert.lmi_residual,
         "classification": classify_attractors(cert.p),
     }
-    _emit(_envelope("dominance", [(args.model, digest)], results, warnings, []))
+    _emit(_envelope("dominance", [(args.model, digest)], results, [], []))
     return EXIT_OK
 
 
@@ -195,7 +192,7 @@ def _gain_cert_fields(cert) -> dict:
 
 def cmd_gain(args) -> int:
     warnings: list[str] = []
-    _, system, digest = load_model(args.model)
+    system, digest = _model_ss(args.model)
     region = _region_from_args(args, warnings)
     if isinstance(region, Line):
         cert = l2p_gain(system, args.p, region, args.tol, args.certificate)
@@ -214,8 +211,8 @@ def cmd_gain(args) -> int:
 
 def cmd_smallgain(args) -> int:
     warnings: list[str] = []
-    ss1, _, digest1 = _model_ss(args.model1)
-    ss2, _, digest2 = _model_ss(args.model2)
+    ss1, digest1 = _model_ss(args.model1)
+    ss2, digest2 = _model_ss(args.model2)
     lo, hi = _parse_pair(args.strip, "--strip")
     strip = Strip(lo, hi)
     report = small_gain_check(ss1, args.p1, ss2, args.p2, strip, args.tol)
@@ -278,23 +275,27 @@ def _min_critical_margin(data: np.ndarray) -> float:
     return float(np.min(np.abs(data[:, 1] + 1j * data[:, 2] + 1.0) - data[:, 4]))
 
 
-def _write_csv(args, command, inputs, header, rows, extra_results, warnings, notes) -> int:
+def _write_csv(args, command, digest, header, rows, extra_results) -> int:
     text = _csv_lines(header, rows)
     if args.out:
         results = {"rows": len(rows), "path": args.out, "sha256": _write_text(args.out, text)}
         results.update(extra_results)
-        _emit(_envelope(command, inputs, results, warnings, notes))
+        _emit(_envelope(command, [(args.model, digest)], results, [], []))
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def cmd_nyquist(args) -> int:
-    warnings: list[str] = []
-    kind, system, digest = load_model(args.model)
+def _response_table(args, uncertainty: float = 0.0):
+    """(digest, line, frequency_response_data) of the model on --line: a tf
+    is tabulated as loaded, since an improper one has no realization."""
+    _, system, digest = load_model(args.model)
     line = Line(args.line)
-    omegas = _response_grid(args)
-    data = frequency_response_data(system, line, omegas, uncertainty=args.uncertainty)
+    return digest, line, frequency_response_data(system, line, _response_grid(args), uncertainty)
+
+
+def cmd_nyquist(args) -> int:
+    digest, line, data = _response_table(args, args.uncertainty)
     min_margin = _min_critical_margin(data)
     extra = {
         "rate": line.lam,
@@ -302,32 +303,16 @@ def cmd_nyquist(args) -> int:
         "min_critical_margin": min_margin,
         "critical_point_excluded": bool(min_margin > 0.0),
     }
-    return _write_csv(
-        args,
-        "nyquist",
-        [(args.model, digest)],
-        NYQUIST_HEADER,
-        data,
-        extra,
-        warnings,
-        [],
-    )
+    return _write_csv(args, "nyquist", digest, NYQUIST_HEADER, data, extra)
 
 
 def cmd_bode(args) -> int:
-    warnings: list[str] = []
-    kind, system, digest = load_model(args.model)
-    line = Line(args.line)
-    omegas = _response_grid(args)
-    data = frequency_response_data(system, line, omegas)
+    digest, line, data = _response_table(args)
     with np.errstate(divide="ignore"):
         mag_db = 20.0 * np.log10(data[:, 3])
     phase = np.degrees(np.arctan2(data[:, 2], data[:, 1]))
     rows = np.column_stack([data[:, 0], mag_db, phase])
-    extra = {"rate": line.lam}
-    return _write_csv(
-        args, "bode", [(args.model, digest)], BODE_HEADER, rows, extra, warnings, []
-    )
+    return _write_csv(args, "bode", digest, BODE_HEADER, rows, {"rate": line.lam})
 
 
 def _parse_complex_field(value, where: str) -> complex:
@@ -457,13 +442,9 @@ def cmd_example_sec5(args) -> int:
     slope_one_lo = sector_lo.evaluations[-1][1]
     slope_one_hi = sector_hi.evaluations[-1][1]
 
-    # Input lag tau: multiplicative perturbation Delta = -tau s / (1 + tau s).
-    if args.tau > 0:
-        delta = RationalFunction(
-            Polynomial((0.0, -args.tau)), Polynomial((1.0, args.tau))
-        )
-    else:
-        delta = RationalFunction([0.0], [1.0])
+    # Input lag tau: multiplicative perturbation Delta = -tau s / (1 + tau s),
+    # which RationalFunction reduces to the zero function at tau = 0.
+    delta = RationalFunction(Polynomial((0.0, -args.tau)), Polynomial((1.0, args.tau)))
     lag_results = None
     small_gain = None
     try:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .rational import RationalFunction
 from .regions import Line, Strip, _on_band
-from .statespace import StateSpace, realize, require_siso
+from .statespace import StateSpace, as_state_space, require_siso
 from .stripnorm import (
     _level_search,
     _require_tol,
@@ -150,13 +150,14 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
     )
 
 
-def _strict_margin(M0: np.ndarray, k: int) -> tuple[float, float]:
+def _strict_margin(M0: np.ndarray, k: int, formed: float = 0.0) -> tuple[float, float]:
     """(eps, residual) of a certificate inequality M0 + eps diag(I_k, 0) < 0,
     M0 symmetric: eps = -mu_max / 2 for mu_max = lambda_max(M0), residual =
     lambda_max of the strict matrix.  Both must lie below -size u ||M0||_F, the
-    symmetric eigensolver's error (||M0|| bounds the strict matrix's norm)."""
+    symmetric eigensolver's error (||M0|| bounds the strict matrix's norm),
+    less formed, the caller's bound on the rounding error of forming M0."""
     mu_max = float(matkernel.sym_eig(M0)[-1])
-    err = M0.shape[0] * np.finfo(float).eps * float(np.linalg.norm(M0))
+    err = M0.shape[0] * np.finfo(float).eps * float(np.linalg.norm(M0)) + formed
     if mu_max >= -err:
         raise NumericalFailure("certificate residual %g is not below -%g" % (mu_max, err))
     eps = 0.5 * (-mu_max)
@@ -187,6 +188,15 @@ def _gain_matrix(ss: StateSpace, P: np.ndarray, gamma: float, rate: float) -> np
     BR = ss.D.T @ ss.D - gamma * gamma * np.eye(ss.n_inputs)
     M = np.block([[TL, TR], [TR.T, BR]])
     return 0.5 * (M + M.T)
+
+
+def _forming_error(ss: StateSpace, P: np.ndarray, rate: float) -> float:
+    """Norm bound on _gain_matrix's rounding: gamma_{n+2} |X||Y| per product
+    X Y (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3)."""
+    norm = np.linalg.norm
+    P_part = norm(P) * (2.0 * norm(_shifted(ss, rate)) + norm(ss.B))
+    C_part = norm(ss.C) * (norm(ss.C) + norm(ss.D))
+    return (ss.n + 2) * np.finfo(float).eps * float(P_part + C_part)
 
 
 def verify_gain_lmi(
@@ -231,7 +241,8 @@ def _riccati_certificate(ss: StateSpace, gamma: float, line: Line, tol: float):
     invariant subspace at a level inflated above gamma (the bracket top);
     return None when no rung passes _strict_margin, the one acceptance rule:
     its strict gain inequality makes A'P + PA + 2 rate P < 0, which fixes P's
-    signature at (p, 0, n - p) by the inertia theorem.
+    signature at (p, 0, n - p) by the inertia theorem; as P is printed, its
+    margin must also clear the rounding of forming that inequality from it.
 
     Two ladders guard the construction.  The exact subspace solution at the
     build level leaves the certificate matrix only negative semidefinite
@@ -267,7 +278,8 @@ def _riccati_certificate(ss: StateSpace, gamma: float, line: Line, tol: float):
             try:
                 P = gamma_build * np.linalg.solve(X1.T, X2.T).T  # gamma_build X2 X1^-1
                 P = 0.5 * (P + P.T)
-                eps, residual = _strict_margin(_gain_matrix(ss, P, cert_gamma, line.lam), n)
+                M0 = _gain_matrix(ss, P, cert_gamma, line.lam)
+                eps, residual = _strict_margin(M0, n, _forming_error(ss, P, line.lam))
             except (np.linalg.LinAlgError, NumericalFailure):
                 continue
             return P, eps, residual, cert_gamma
@@ -311,7 +323,7 @@ def l2p_gain(
     Dominance at the rate is checked first; the gain itself equals the
     supremum of |G| on the line, computed by the Hamiltonian level iteration.
     """
-    ss = realize(system) if isinstance(system, RationalFunction) else system
+    ss = as_state_space(system)
     require_siso(ss, "l2p_gain")
     require_dominance(ss, p, line.lam)
     res = line_norm_bisection(ss, line, tol)
@@ -334,7 +346,7 @@ def strip_gain(
     values and attaining side (and its interior spot check); a certificate,
     when asked for, is built on the attaining edge only.
     """
-    ss = realize(system) if isinstance(system, RationalFunction) else system
+    ss = as_state_space(system)
     require_siso(ss, "strip_gain")
     require_dominance(ss, p, strip.lo)
     require_dominance(ss, p, strip.hi)

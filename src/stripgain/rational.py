@@ -162,11 +162,11 @@ class RationalFunction:
             self.den = Polynomial((1.0,))
             self.cancelled: tuple[complex, ...] = ()
             return
-        num_p, den_p, cancelled = _reduce(num_p, den_p)
-        lead = den_p.lead
-        self.num = num_p.scale(1.0 / lead)
-        self.den = den_p.scale(1.0 / lead)
-        self.cancelled = cancelled
+        scale = 1.0 / den_p.lead
+        self.num, self.den, self.cancelled, poles = _reduce(num_p.scale(scale), den_p.scale(scale))
+        if poles is not None:
+            poles.setflags(write=False)
+            self.__dict__["poles"] = poles  # fills the cached property below
 
     @property
     def num_degree(self) -> int:
@@ -190,9 +190,10 @@ class RationalFunction:
 
     @cached_property
     def poles(self) -> np.ndarray:
-        if self.den.degree == 0:
-            return np.zeros(0, dtype=complex)
-        return poly_roots(self.den)
+        """Denominator roots sorted by (real, imag), read-only."""
+        roots = poly_roots(self.den) if self.den.degree else np.zeros(0, dtype=complex)
+        roots.setflags(write=False)
+        return roots
 
     @cached_property
     def zeros(self) -> np.ndarray:
@@ -245,15 +246,23 @@ def _sample_points(num: Polynomial, den: Polynomial) -> np.ndarray:
 
 
 def _reduce(num: Polynomial, den: Polynomial):
-    """Cancel near-common roots if doing so is evaluation-neutral."""
+    """Cancel near-common roots if doing so is evaluation-neutral; returns
+    (num, den, cancelled roots, roots of that den or None if not computed)."""
     if num.degree == 0 or den.degree == 0:
-        return num, den, ()
-    rn = list(poly_roots(num))
-    rd = list(poly_roots(den))
-    keep_n = rn[:]
+        return num, den, (), None
+    roots = poly_roots(den)
+    # A root of num that poly_roots accepts within TAU_GCD (1 + |r|) of a pole r
+    # leaves |num(r)| below its residual gate, plus that distance times |num'|
+    # and the rounding of num(r): at most `gate` (m = deg num, size ~ |c|_1).
+    m, size = num.degree, 1.0 + float(np.abs(num.coeffs).sum())
+    reach = np.maximum(1.0, np.abs(roots) + TAU_GCD * (1.0 + np.abs(roots)))
+    gate = (TAU_ROOT + 2 * m * (TAU_GCD + np.finfo(float).eps)) * size * reach**m
+    if np.all(np.abs(num(roots)) > gate):  # then nothing can cancel
+        return num, den, (), roots
+    keep_n = list(poly_roots(num))
     keep_d = []
     cancelled = []
-    for r in rd:
+    for r in roots:
         hit = None
         for k, z in enumerate(keep_n):
             if abs(z - r) <= TAU_GCD * (1.0 + abs(r)):
@@ -265,15 +274,15 @@ def _reduce(num: Polynomial, den: Polynomial):
             keep_n.pop(hit)
             cancelled.append(r)
     if not cancelled:
-        return num, den, ()
+        return num, den, (), roots
     new_num = _poly_from_roots(keep_n, num.lead)
     new_den = _poly_from_roots(keep_d, den.lead)
     pts = _sample_points(num, den)
     ref = num(pts) / den(pts)
     red = new_num(pts) / new_den(pts)
     if np.all(np.abs(red - ref) <= TAU_EVAL * (1.0 + np.abs(ref))):
-        return new_num, new_den, tuple(cancelled)
-    return num, den, ()
+        return new_num, new_den, tuple(cancelled), np.array(keep_d, dtype=complex)
+    return num, den, (), roots
 
 
 def rational_eval(G: RationalFunction, s: complex) -> complex:

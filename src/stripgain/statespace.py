@@ -47,9 +47,11 @@ def _as_2d(x, rows, cols, name):
 
 
 class StateSpace:
-    """Linear time-invariant system dx = Ax + Bu, y = Cx + Du."""
+    """Linear time-invariant system dx = Ax + Bu, y = Cx + Du; _tf is the
+    transfer function of a realization (realize), None for any other."""
 
     def __init__(self, A, B, C, D):
+        self._tf: RationalFunction | None = None
         A = np.asarray(A, dtype=float)
         if A.size == 0:
             A = A.reshape(0, 0)
@@ -95,11 +97,13 @@ class StateSpace:
         return self.n_inputs == 1 and self.n_outputs == 1
 
     def poles(self) -> np.ndarray:
-        """Eigenvalues of A sorted by (real, imag), read-only."""
+        """Eigenvalues of A sorted by (real, imag), read-only (_tf's poles)."""
         return self._poles
 
     @cached_property
     def _poles(self) -> np.ndarray:
+        if self._tf is not None:
+            return self._tf.poles
         w = matkernel.eig(self.A)
         w.setflags(write=False)
         return w
@@ -135,37 +139,36 @@ def require_siso(ss: StateSpace, what: str) -> None:
         raise InvalidInput("%s supports single-input single-output systems only" % what)
 
 
+def as_state_space(system: StateSpace | RationalFunction) -> StateSpace:
+    """The system itself, or the realization of a transfer function."""
+    return system if isinstance(system, StateSpace) else realize(system)
+
+
 def realize(G: RationalFunction) -> StateSpace:
-    """Controllable-canonical realization of a proper rational function."""
+    """Controllable-canonical realization of a proper rational function:
+    the one conversion of a transfer function, kept as _tf, whose poles are
+    poles() and whose polynomials frequency_response evaluates."""
     if not G.is_proper:
         raise ImproperTransferFunction(
             "numerator degree %d exceeds denominator degree %d"
             % (G.num_degree, G.den_degree)
         )
     n = G.den_degree
-    if n == 0:
-        d = G.num.coeffs[0] / G.den.coeffs[0]
-        return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[d]])
     den = np.asarray(G.den.coeffs)
     if G.num_degree == n:
-        quot = np.polynomial.polynomial.polydiv(G.num.coeffs, den)[0]
-        d = float(quot[0])
-        rem = Polynomial.from_computed(
-            np.polynomial.polynomial.polysub(G.num.coeffs, d * den)
-        )
+        d = G.num.lead / G.den.lead
+        rem = Polynomial.from_computed(np.polynomial.polynomial.polysub(G.num.coeffs, d * den))
     else:
-        d = 0.0
-        rem = G.num
-    A = np.zeros((n, n))
-    if n > 1:
-        A[: n - 1, 1:] = np.eye(n - 1)
-    A[n - 1, :] = -den[:n]
-    B = np.zeros((n, 1))
-    B[n - 1, 0] = 1.0
-    C = np.zeros((1, n))
-    take = min(n, rem.degree + 1)
-    C[0, :take] = rem.coeffs[:take]
-    return StateSpace(A, B, C, [[d]])
+        d, rem = 0.0, G.num
+    A, B, C = np.eye(n, k=1), np.zeros((n, 1)), np.zeros((1, n))
+    if n:
+        A[n - 1, :] = -den[:n]
+        B[n - 1, 0] = 1.0
+        take = min(n, rem.degree + 1)
+        C[0, :take] = rem.coeffs[:take]
+    ss = StateSpace(A, B, C, [[d]])
+    ss._tf = G
+    return ss
 
 
 def _charpoly(A: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ a batch of same-size systems, one rate per member, so a sweep of closed
 loops, or the two edges of a strip, share each stacked eigensolve.  A
 function bounded on a strip attains its supremum on the boundary, so strip
 norms reduce to the two boundary lines plus an interior spot check.  The
-supremum norms and the response tables take a transfer function or a
-state-space model and evaluate it through ``frequency_response``.
+norms take a state-space model or a transfer function, realized once, and
+measure it through ``frequency_response``; only the response tables also
+take a bare transfer function, which may be improper.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .rational import Polynomial, RationalFunction, partial_fractions, recombine
 from .regions import Line, Strip, _pole_guard
-from .statespace import StateSpace, modal_split, realize, require_siso
+from .statespace import StateSpace, as_state_space, modal_split, realize, require_siso
 
 TAU_HAM = 1e-7
 
@@ -73,26 +74,22 @@ class NormResult:
     boundary_values: tuple[float, float] | None = None
 
 
-def _poles(system: StateSpace | RationalFunction) -> np.ndarray:
-    return system.poles if isinstance(system, RationalFunction) else system.poles()
-
-
-def frequency_response(system: StateSpace | RationalFunction, lam, omegas):
+def frequency_response(system: StateSpace, lam, omegas):
     """Complex G(-lam + i omega) at each omega, with lam broadcast against
     omegas (one rate, or one per frequency), in the broadcast shape.
 
-    A RationalFunction is evaluated from its coefficients.  A StateSpace is
-    evaluated through the complex Schur form A = Z T Z^H that its cached
-    real Schur form gives (StateSpace.response_form); each frequency then
-    costs one O(n^2) back-substitution through sI - T.
-    The Python loop runs over whichever is fewer: the states, each step
-    vectorised over the frequencies, or the frequencies, each one LAPACK
-    triangular solve.  Either way G is NaN, without a warning, where s is
-    a pole (a diagonal entry of T).
+    A realization of a transfer function is evaluated from its polynomials
+    by Horner's rule (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 5; inf or NaN at a pole, with numpy's warning).  Any
+    other StateSpace goes through the complex Schur form A = Z T Z^H that
+    its cached real Schur form gives (StateSpace.response_form): one O(n^2)
+    back-substitution through sI - T per frequency, the Python loop running
+    over the states or the frequencies, whichever are fewer; G is NaN
+    there, without a warning, where s is a pole (a diagonal entry of T).
     """
     s = -lam + 1j * omegas
-    if isinstance(system, RationalFunction):
-        return system.eval_unchecked(s)
+    if system._tf is not None:
+        return system._tf.eval_unchecked(s)
     require_siso(system, "frequency_response")
     T, b, c = system.response_form
     s = np.asarray(s)
@@ -154,18 +151,13 @@ def line_norm_grid(system: StateSpace | RationalFunction, line: Line) -> NormRes
     system is stationary there.  For a biproper G the limiting value at
     infinite frequency competes as a candidate as well.
     """
-    if isinstance(system, RationalFunction):
-        if not system.is_proper:
-            raise ImproperTransferFunction("|G| is unbounded on every vertical line")
-        G = system
-        limit = abs(G.num.lead / G.den.lead) if G.num_degree == G.den_degree else 0.0
-    else:
-        require_siso(system, "line_norm_grid")
-        limit = abs(float(system.D[0, 0]))
-    poles = _poles(system)
+    ss = as_state_space(system)
+    require_siso(ss, "line_norm_grid")
+    limit = abs(float(ss.D[0, 0]))
+    poles = ss.poles()
     _pole_guard(poles, line)
     omegas = coarse_grid(poles, GRID_POINTS)
-    vals = np.abs(frequency_response(system, line.lam, omegas))
+    vals = np.abs(frequency_response(ss, line.lam, omegas))
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("magnitude overflow on the frequency grid")
     j = int(np.argmax(vals))
@@ -180,7 +172,7 @@ def line_norm_grid(system: StateSpace | RationalFunction, line: Line) -> NormRes
     ]
 
     def response(members, w):
-        return frequency_response(system, line.lam, w)
+        return frequency_response(ss, line.lam, w)
 
     for w, v in _polish(starts, response, 1e-9 * max(1.0, best_v)).values():
         if v > best_v:
@@ -400,8 +392,8 @@ def _line_searches(
 ) -> list[NormResult]:
     """line_norm_bisection on each of the given lines of one system, run as
     one batch: every step makes one stacked eigensolve and one response
-    call for all lines, through one realization and its Schur form."""
-    ss = realize(system) if isinstance(system, RationalFunction) else system
+    call for all lines, through one realization."""
+    ss = as_state_space(system)
     require_siso(ss, "line_norm_bisection")
     _require_tol(tol)
     poles = ss.poles()
@@ -472,18 +464,17 @@ def strip_norm(
     response call, then cross-checks the boundary-maximum principle: no
     sample may exceed the reported value by more than maxmod_slack of it.
     """
-    if isinstance(system, RationalFunction) and not system.is_proper:
-        raise ImproperTransferFunction("|G| is unbounded on every vertical strip")
-    poles = _poles(system)
+    ss = as_state_space(system)
+    poles = ss.poles()
     _pole_guard(poles, strip)
     if method == "bisection":
-        lo_res, hi_res = _line_searches(system, (strip.lower_line, strip.upper_line), tol)
+        lo_res, hi_res = _line_searches(ss, (strip.lower_line, strip.upper_line), tol)
     else:
-        lo_res = _line_norm(system, strip.lower_line, method, tol)
-        hi_res = _line_norm(system, strip.upper_line, method, tol)
+        lo_res = _line_norm(ss, strip.lower_line, method, tol)
+        hi_res = _line_norm(ss, strip.upper_line, method, tol)
     value = max(lo_res.value, hi_res.value)
     rates = strip.interior_rates(5)
-    mags = np.abs(frequency_response(system, np.array(rates)[:, None], coarse_grid(poles, 64)))
+    mags = np.abs(frequency_response(ss, np.array(rates)[:, None], coarse_grid(poles, 64)))
     for lam, worst in zip(rates, mags.max(axis=1)):
         if worst > value + maxmod_slack(value):
             raise NumericalFailure(
@@ -546,15 +537,18 @@ def decompose_line(G: RationalFunction, line: Line):
 def frequency_response_data(
     system: StateSpace | RationalFunction, line: Line, omegas, uncertainty: float = 0.0
 ) -> np.ndarray:
-    """Tabulate G along a line: rows (omega, re, im, mag, uncertainty * mag)."""
+    """Tabulate G along a line: rows (omega, re, im, mag, uncertainty * mag).
+    It alone also takes a bare RationalFunction, which may be improper."""
     if uncertainty < 0:
         raise InvalidInput("uncertainty scale must be >= 0")
-    _pole_guard(_poles(system), line)
+    bare = isinstance(system, RationalFunction)  # possibly improper
+    _pole_guard(system.poles if bare else system.poles(), line)
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InvalidInput("omegas must be a non-empty 1-D array")
     if not np.all(np.isfinite(w)):
         raise InvalidInput("omegas must be finite")
-    z = frequency_response(system, line.lam, w)
+    s = -line.lam + 1j * w
+    z = system.eval_unchecked(s) if bare else frequency_response(system, line.lam, w)
     mag = np.abs(z)
     return np.column_stack([w, z.real, z.imag, mag, uncertainty * mag])

@@ -384,3 +384,93 @@ def test_shared_parser_carries_nothing_between_calls(capsys, tmp_path, unstable)
     table.unlink()
     shared = [call(argv) for argv in calls]
     assert shared == fresh
+
+
+IMPROPER_NYQUIST = """omega,re,im,mag,disk_radius
+0,1.5,0,1.5,0.375
+0.10000000000000001,1.346153846153846,-0.46923076923076917,1.4255902960906024,0.3563975740226506
+1,-1.7000000000000002,1.4000000000000001,2.2022715545545246,0.55056788863863115
+10,-2.4900249376558601,29.800498753117203,29.904346676105266,7.4760866690263166
+"""
+
+IMPROPER_BODE = """omega,mag_db,phase_deg
+0,3.5218251811136247,0
+0.10000000000000001,3.0798946097167148,-19.21709517697867
+1,6.8574173860226386,140.52754015165618
+10,29.514686375349243,94.776338948068911
+"""
+
+
+def test_improper_tf_has_tables_and_no_norms(capsys, tmp_path):
+    """(3 s^2 + 2 s + 1)/(s + 1) has no realization: its tables print, read
+    off its polynomials, and every verb that measures it refuses it with
+    the one conversion's message."""
+    model = write_model(tmp_path / "imp.json", {"kind": "tf", "num": [1, 2, 3], "den": [1, 1]})
+    grid = ["--line", "0.5", "--points", "4", "--omega-min", "0.1", "--omega-max", "10"]
+    assert run(capsys, ["nyquist", model, *grid, "--uncertainty", "0.25"]) == (0, IMPROPER_NYQUIST)
+    assert run(capsys, ["bode", model, *grid]) == (0, IMPROPER_BODE)
+    calls = [
+        ["norm", model, "--line", "0.5", "--method", "grid"],
+        ["norm", model, "--strip", "0.5,1", "--method", "grid"],
+        ["norm", model, "--line", "0.5"],
+        ["norm", model, "--strip", "0.5,1"],
+        ["gain", model, "--p", "0", "--line", "0.5"],
+        ["gain", model, "--p", "0", "--strip", "0.5,1", "--certificate"],
+        ["dominance", model, "--p", "0", "--rate", "0.5"],
+    ]
+    for argv in calls:
+        code, env = run_json(capsys, argv)
+        assert code == 2, argv
+        assert env["error"] == {
+            "type": "ImproperTransferFunction",
+            "message": "numerator degree 2 exceeds denominator degree 1",
+        }
+
+
+def test_tf_gain_finds_its_poles_and_lower_end_through_its_polynomials(
+    capsys, monkeypatch, tmp_path
+):
+    """A degree-4 tf through `gain --certificate` on a strip: its roots come
+    from the two companion eigensolves of the reduction on load (no
+    eigensolve of the realization's A for its poles), and the level
+    search's lower end is |G| by Horner's rule at the reported peak."""
+    from stripgain import matkernel, rational, strip_norm
+    from stripgain.modelio import load_model
+    from stripgain.regions import Strip
+
+    num = np.real(np.polynomial.polynomial.polyfromroots([-1.0, 0.5 + 1j, 0.5 - 1j]))
+    den = np.real(np.polynomial.polynomial.polyfromroots([-2 + 1.5j, -2 - 1.5j, -2.5, -4.0]))
+    model = write_model(tmp_path / "g4.json", {"kind": "tf", "num": num.tolist(),
+                                                "den": den.tolist()})
+    roots, matrices = [], []
+    inside = []
+    poly_roots, eig = rational.poly_roots, matkernel.eig
+
+    def counting_roots(p):
+        roots.append(p)
+        inside.append(True)
+        try:
+            return poly_roots(p)
+        finally:
+            inside.pop()
+
+    def counting_eig(M):
+        if np.ndim(M) == 2 and not inside:
+            matrices.append(np.shape(M))
+        return eig(M)
+
+    monkeypatch.setattr(rational, "poly_roots", counting_roots)
+    monkeypatch.setattr(matkernel, "eig", counting_eig)
+    code, env = run_json(capsys, ["gain", model, "--p", "0", "--strip", "0.5,1.5",
+                                  "--certificate"])
+    assert code == 0 and env["results"]["certificate"] is not None
+    assert len(roots) <= 2
+    assert matrices == []
+    monkeypatch.undo()
+
+    _, G, _ = load_model(model)
+    res = strip_norm(G, Strip(0.5, 1.5))
+    assert env["results"]["bracket"] == list(res.bracket)
+    lam = 0.5 if res.attaining_boundary == "lo" else 1.5
+    s = -np.array([lam]) + 1j * np.array([res.peak_frequency])
+    assert res.bracket[0] == abs(G.eval_unchecked(s)[0])

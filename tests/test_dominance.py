@@ -368,11 +368,11 @@ def test_riccati_ladder_moves_on_when_the_margin_fails(monkeypatch):
     margin = dom._strict_margin
     calls = []
 
-    def failing_first(M0, k):
+    def failing_first(M0, k, *formed):
         calls.append(M0)
         if len(calls) == 1:
             raise NumericalFailure("certificate residual is not below the margin")
-        return margin(M0, k)
+        return margin(M0, k, *formed)
 
     ss = realize(RationalFunction([0.5], [-1.0, 1.0]))
     want = l2p_gain(ss, 1, Line(0.5), 1e-6, with_certificate=True)
@@ -384,3 +384,37 @@ def test_riccati_ladder_moves_on_when_the_margin_fails(monkeypatch):
     assert got.certified_gamma == want.certified_gamma
     rep = verify_gain_lmi(ss, got.P, got.certified_gamma, 0.5, got.epsilon)
     assert rep.residual == got.lmi_residual < 0.0
+
+
+def test_gain_certificate_margin_clears_the_rounding_of_its_matrix(monkeypatch):
+    """_forming_error bounds how far the floating-point gain matrix of a
+    printed certificate lies from the exact one (40-digit arithmetic on the
+    same P), and a P whose margin lies inside that bound is refused."""
+    import mpmath
+
+    import stripgain.dominance as dom
+
+    den = [720.0, 1764.0, 1624.0, 735.0, 175.0, 21.0, 1.0]  # (s + 1) ... (s + 6)
+    ss = realize(RationalFunction([1.0], den))
+    cert = l2p_gain(ss, 0, Line(0.0), with_certificate=True)
+    assert cert.P is not None
+    M = dom._gain_matrix(ss, cert.P, cert.certified_gamma, 0.0)
+    with mpmath.workdps(40):
+        mp = lambda X: mpmath.matrix(np.asarray(X).tolist())  # noqa: E731
+        A, B, C, D, P = (mp(X) for X in (ss.A, ss.B, ss.C, ss.D, cert.P))
+        TL = A.T * P + P * A + C.T * C
+        TR = P * B + C.T * D
+        n = ss.n
+        exact = mpmath.matrix(n + 1, n + 1)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                if i < n and j < n:
+                    exact[i, j] = (TL[i, j] + TL[j, i]) / 2
+                elif i < n or j < n:
+                    exact[i, j] = TR[min(i, j), 0]
+                else:
+                    exact[i, j] = D[0, 0] ** 2 - mpmath.mpf(cert.certified_gamma) ** 2
+        gap = np.array((mp(M) - exact).tolist(), dtype=float)
+    assert np.linalg.norm(gap, 2) <= dom._forming_error(ss, cert.P, 0.0)
+    monkeypatch.setattr(dom, "_forming_error", lambda *args: 1e9)
+    assert l2p_gain(ss, 0, Line(0.0), with_certificate=True).P is None

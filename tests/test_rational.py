@@ -59,6 +59,27 @@ def test_rational_cancels_matched_factor():
     assert G.eval_unchecked(1.0) == pytest.approx(0.5)
 
 
+def test_reduction_solves_for_numerator_roots_only_near_a_pole(monkeypatch):
+    """The reduction's denominator roots are the poles.  The numerator's are
+    computed only when it is small at some pole: not for (s + 0.5)(s + 4)
+    over (s + 1)(s + 2)(s + 3), but for a numerator root 1e-10 from -1,
+    which is still cancelled."""
+    from stripgain import rational
+
+    calls = []
+    roots = rational.poly_roots
+    monkeypatch.setattr(rational, "poly_roots", lambda p: calls.append(p) or roots(p))
+    den = [6.0, 11.0, 6.0, 1.0]
+    G = RationalFunction([2.0, 4.5, 1.0], den)
+    assert np.allclose(G.poles, [-3.0, -2.0, -1.0]) and not G.poles.flags.writeable
+    assert len(calls) == 1 and G.cancelled == ()
+    near = np.polynomial.polynomial.polyfromroots([-1.0 - 1e-10, -4.0])
+    H = RationalFunction(near, den)
+    assert len(calls) == 3
+    assert H.cancelled == pytest.approx([-1.0]) and H.den_degree == 2
+    assert np.allclose(H.poles, [-3.0, -2.0])
+
+
 def test_rational_eval_refuses_near_pole():
     G = RationalFunction([1.0], [1.0, 1.0])
     with pytest.raises(PoleProximity):
