@@ -4,7 +4,9 @@ A system is p-dominant at rate lam when exactly p eigenvalues of A + lam I
 lie in the open right half plane; the certificate is a symmetric P with p
 negative and n - p positive eigenvalues making A'P + PA + 2 lam P strictly
 negative.  Gains at rate lam bound the weighted input-output map and combine
-across a feedback loop by the small-gain product test.
+across a feedback loop by the small-gain product test.  Both certificates
+read real Schur forms reordered by matkernel: the model's cached one, split
+at the rate line, and the Hamiltonian's, for its stable subspace.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import matkernel
 from .errors import (
@@ -118,10 +119,10 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
     """Verify p-dominance at the given rate and build a certificate.
 
     After the eigenvalue count of require_dominance, the system's cached
-    real Schur form is reordered to the rate line and decoupled
-    (matkernel.schur_split), and P is assembled from Lyapunov solutions on
-    the two diagonal blocks, mapped back by the split's closed-form inverse:
-    no factorisation beyond the one per system.  A residual
+    real Schur form is split at the rate line (matkernel.split_spectrum,
+    which must count the same p), and P is assembled from Lyapunov solutions
+    on the two diagonal blocks, mapped back by the split's closed-form
+    inverse: no factorisation beyond the one per system.  A residual
     A'P + PA + 2 rate P below -n u ||.||_F (the symmetric eigensolver's
     error) fixes P's signature at (p, 0, n - p) by the inertia theorem of
     Ostrowski and Schneider (1962), so P's inertia is not measured again.
@@ -132,7 +133,11 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
         return DominanceCertificate(
             P=np.zeros((0, 0)), epsilon=0.0, lmi_residual=0.0, p=0, rate=rate
         )
-    split = matkernel.schur_split(ss.schur, -rate, p)
+    split = matkernel.split_spectrum(ss.schur, -rate, -rate)
+    if split.p != p:
+        raise NumericalFailure(
+            "Schur reordering selected %d eigenvalues, expected %d" % (split.p, p)
+        )
     T, w, Si = split.T + rate * np.eye(n), split.w + rate, split.inverse
     P = np.zeros((n, n))
     if p:
@@ -238,11 +243,13 @@ class GainCertificate:
 
 def _riccati_certificate(ss: StateSpace, gamma: float, line: Line, tol: float):
     """Try to build a gain certificate P from the Hamiltonian's stable
-    invariant subspace at a level inflated above gamma (the bracket top);
-    return None when no rung passes _strict_margin, the one acceptance rule:
-    its strict gain inequality makes A'P + PA + 2 rate P < 0, which fixes P's
-    signature at (p, 0, n - p) by the inertia theorem; as P is printed, its
-    margin must also clear the rounding of forming that inequality from it.
+    invariant subspace (its real Schur form with the eigenvalues of negative
+    real part reordered first) at a level inflated above gamma (the bracket
+    top); return None when no rung passes _strict_margin, the one acceptance
+    rule: its strict gain inequality makes A'P + PA + 2 rate P < 0, which
+    fixes P's signature at (p, 0, n - p) by the inertia theorem; as P is
+    printed, its margin must also clear the rounding of forming that
+    inequality from it.
 
     Two ladders guard the construction.  The exact subspace solution at the
     build level leaves the certificate matrix only negative semidefinite
@@ -269,8 +276,9 @@ def _riccati_certificate(ss: StateSpace, gamma: float, line: Line, tol: float):
             H = H0.copy()
             H[n:, :n] += (gamma_build / R) * eta * np.eye(n)
             try:
-                _, Z, sdim = sla.schur(H, output="real", sort=lambda re, im: re < 0)
-            except (NumericalFailure, ValueError):
+                S = matkernel.real_schur(H)
+                _, Z, _, sdim = matkernel.reorder_schur(S, np.diag(S.T) < 0)
+            except (InvalidInput, NumericalFailure):
                 continue
             if sdim != n:
                 continue

@@ -7,8 +7,8 @@ float64 ndarrays throughout; complex input is rejected at the boundary.
 
 A matrix is factored once into its real Schur form (``real_schur``), and
 everything that needs the factorisation is read off that form: the complex
-triangular form of the frequency responses (``complex_schur``), the
-reordered and decoupled split about any vertical line (``schur_split``),
+triangular form of the frequency responses (``complex_schur``), the one
+split about a line (``split_spectrum``; dtrsen, Bai and Demmel, LAA 1993),
 and Lyapunov solves by back substitution (``lyap_quasi``; Bartels and
 Stewart, CACM 1972).  A split at a new line costs only an O(n^2) reordering
 per swap and triangular Sylvester solves, no new factorisation.
@@ -230,20 +230,42 @@ class SchurSplit:
         return Si
 
 
-def schur_split(S: RealSchur, cut: float, p: int) -> SchurSplit:
-    """Split a factored matrix about the line Re s = cut, with p, the
-    caller's count of eigenvalues right of it.
-
-    The eigenvalues of S.T with real part above cut are moved to the top
-    (LAPACK dtrsen, no new factorisation) and the diagonal blocks are
-    decoupled by a triangular Sylvester solve (dtrsyl).  Raises
-    NumericalFailure when the reordering selects other than p eigenvalues
-    or the split misses A by more than its residual bound.
-    """
-    n = S.T.shape[0]
-    T, Z, wr, wi, m, _, _, info = _dtrsen(np.diag(S.T) > cut, S.T, S.Z, job="N")
+def reorder_schur(S: RealSchur, select) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(T, Z, w, m): S with the m eigenvalues flagged in select (one flag per
+    diagonal entry of S.T, a 2 x 2 block's either flag counts) moved first
+    by LAPACK dtrsen, no new factorisation; w in T's diagonal order."""
+    if not S.T.size:  # dtrsen rejects empty arrays
+        return S.T, S.Z, S.w, 0
+    T, Z, wr, wi, m, _, _, info = _dtrsen(select, S.T, S.Z, job="N")
     if info:
         raise NumericalFailure("Schur reordering failed (LAPACK info %d)" % info)
+    return T, Z, wr + 1j * wi, int(m)
+
+
+def split_spectrum(S, band_lo: float, band_hi: float) -> SchurSplit:
+    """Split a real Schur form about a closed real-part band.
+
+    S is a RealSchur (a model's cached form) or a matrix, factored here.
+    The p eigenvalues with real part above band_hi are moved to the top
+    (reorder_schur) and the diagonal blocks are decoupled by a triangular
+    Sylvester solve (LAPACK dtrsyl), so that inv(transform) A transform =
+    blkdiag(T11, T22) with T11 p x p.  An eigenvalue of the form on the band,
+    by the rule of regions._on_band, makes the split meaningless and raises
+    EigenvalueInStrip; a reordering that selects other than p eigenvalues,
+    or a split that misses A by more than its residual bound, raises
+    NumericalFailure.
+    """
+    if band_lo > band_hi:
+        raise InvalidInput("band_lo must not exceed band_hi")
+    S = S if isinstance(S, RealSchur) else real_schur(S)
+    count, bad = _on_band(S.w, -band_hi, -band_lo)
+    if not np.isnan(bad):
+        raise EigenvalueInStrip(
+            "eigenvalue %s lies within tolerance of the band [%g, %g]"
+            % (bad, band_lo, band_hi)
+        )
+    p, n = int(count), S.T.shape[0]
+    T, Z, w, m = reorder_schur(S, np.diag(S.T) > band_hi)
     if m != p:
         raise NumericalFailure(
             "Schur reordering selected %d eigenvalues, expected %d" % (m, p)
@@ -254,7 +276,7 @@ def schur_split(S: RealSchur, cut: float, p: int) -> SchurSplit:
         if info < 0:
             raise NumericalFailure("block decoupling solve failed (LAPACK info %d)" % info)
         X /= shrink
-    split = SchurSplit(T, Z, wr + 1j * wi, X, p)
+    split = SchurSplit(T, Z, w, X, p)
     A, St = S.A, split.transform
     resid = np.linalg.norm(St[:, :p] @ T[:p, :p] - A @ St[:, :p]) + np.linalg.norm(
         St[:, p:] @ T[p:, p:] - A @ St[:, p:]
@@ -262,35 +284,3 @@ def schur_split(S: RealSchur, cut: float, p: int) -> SchurSplit:
     if resid > 1e-7 * max(1.0, np.linalg.norm(A)) * max(1.0, np.linalg.norm(St)):
         raise NumericalFailure("spectral split residual too large: %.3e" % resid)
     return split
-
-
-def split_spectrum(A, band_lo: float, band_hi: float):
-    """Similarity transform separating spectrum about a closed real-part band.
-
-    A is a matrix or its RealSchur (a model's cached form).  Returns
-    (T, A_plus, A_minus, p) with inv(T) @ A @ T block diagonal, A_plus
-    (p x p) carrying eigenvalues with Re > band_hi and A_minus the
-    eigenvalues with Re < band_lo.  An eigenvalue of the Schur form on the
-    band, by the rule of regions._on_band, makes the split meaningless and
-    raises EigenvalueInStrip.
-    """
-    if band_lo > band_hi:
-        raise InvalidInput("band_lo must not exceed band_hi")
-    S = A if isinstance(A, RealSchur) else real_schur(A)
-    Am = S.A
-    n = Am.shape[0]
-    if n == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), 0
-    count, bad = _on_band(S.w, -band_hi, -band_lo)
-    p = int(count)
-    if not np.isnan(bad):
-        raise EigenvalueInStrip(
-            "eigenvalue %s lies within tolerance of the band [%g, %g]"
-            % (bad, band_lo, band_hi)
-        )
-    if p == 0:
-        return np.eye(n), np.zeros((0, 0)), Am.copy(), 0
-    if p == n:
-        return np.eye(n), Am.copy(), np.zeros((0, 0)), n
-    split = schur_split(S, band_hi, p)
-    return split.transform, split.T[:p, :p].copy(), split.T[p:, p:].copy(), p

@@ -171,12 +171,9 @@ def realize(G: RationalFunction) -> StateSpace:
     return ss
 
 
-def _charpoly(A: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial, ascending coefficients."""
-    n = A.shape[0]
-    if n == 0:
-        return np.ones(1)
-    w = np.linalg.eigvals(A)
+def _charpoly(w: np.ndarray) -> np.ndarray:
+    """Monic polynomial with roots w (closed under conjugation), ascending
+    coefficients."""
     coeffs = np.polynomial.polynomial.polyfromroots(w)
     scale = float(np.max(np.abs(coeffs)))
     if float(np.max(np.abs(coeffs.imag))) > 1e-8 * max(1.0, scale):
@@ -191,19 +188,20 @@ def tf_of(ss: StateSpace) -> RationalFunction:
 
     Uses the determinant identity det(sI - A + BC) = det(sI - A) * (1 + G0)
     for the strictly proper part G0, with B and C normalized to unit scale so
-    the char-poly difference is computed at matched magnitudes.
+    the char-poly difference is computed at matched magnitudes.  Only the
+    perturbed matrix is eigensolved; the denominator is the cached poles().
     """
     require_siso(ss, "tf_of")
     d = float(ss.D[0, 0])
     if ss.n == 0:
         return RationalFunction([d], [1.0])
-    den = _charpoly(ss.A)
+    den = _charpoly(ss.poles())
     sb = float(np.linalg.norm(ss.B))
     sc = float(np.linalg.norm(ss.C))
     if sb == 0.0 or sc == 0.0:
         num = d * den
     else:
-        pert = _charpoly(ss.A - (ss.B / sb) @ (ss.C / sc))
+        pert = _charpoly(matkernel.eig(ss.A - (ss.B / sb) @ (ss.C / sc)))
         num = (sb * sc) * (pert - den) + d * den
     return RationalFunction(
         Polynomial.from_computed(num), Polynomial.from_computed(den, rel_tol=0.0)
@@ -234,23 +232,16 @@ def _band_of(region) -> tuple[float, float]:
 
 
 def modal_split(ss: StateSpace, region: Strip | Line) -> ModalSplit:
-    """Split a system into subsystems with spectra on either side of a strip."""
-    band_lo, band_hi = _band_of(region)
-    T, A_plus, A_minus, p = matkernel.split_spectrum(ss.schur, band_lo, band_hi)
-    n = ss.n
-    if n == 0:
-        empty = StateSpace(
-            np.zeros((0, 0)),
-            np.zeros((0, ss.n_inputs)),
-            np.zeros((ss.n_outputs, 0)),
-            np.zeros((ss.n_outputs, ss.n_inputs)),
-        )
-        return ModalSplit(np.zeros((0, 0)), empty, empty, 0)
-    Bt = np.linalg.solve(T, ss.B)
+    """Split a system into subsystems with spectra on either side of a strip,
+    read off the system's cached Schur form (matkernel.split_spectrum): B
+    and C map through the split's closed-form inverse and its transform."""
+    split = matkernel.split_spectrum(ss.schur, *_band_of(region))
+    p, T = split.p, split.transform
+    Bt = split.inverse @ ss.B
     Ct = ss.C @ T
     zero_d = np.zeros((ss.n_outputs, ss.n_inputs))
-    plus = StateSpace(A_plus, Bt[:p, :], Ct[:, :p], zero_d)
-    minus = StateSpace(A_minus, Bt[p:, :], Ct[:, p:], zero_d)
+    plus = StateSpace(split.T[:p, :p], Bt[:p, :], Ct[:, :p], zero_d)
+    minus = StateSpace(split.T[p:, p:], Bt[p:, :], Ct[:, p:], zero_d)
     return ModalSplit(transform=T, plus=plus, minus=minus, p=p)
 
 

@@ -13,7 +13,8 @@ function bounded on a strip attains its supremum on the boundary, so strip
 norms reduce to the two boundary lines plus an interior spot check.  The
 norms take a state-space model or a transfer function, realized once, and
 measure it through ``frequency_response``; only the response tables also
-take a bare transfer function, which may be improper.
+take a bare transfer function, which may be improper.  The line energy
+norm solves its Gramians on the blocks of its realization's split form.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .rational import Polynomial, RationalFunction, partial_fractions, recombine
 from .regions import Line, Strip, _pole_guard
-from .statespace import StateSpace, as_state_space, modal_split, realize, require_siso
+from .statespace import StateSpace, as_state_space, realize, require_siso
 
 TAU_HAM = 1e-7
 
@@ -488,10 +489,12 @@ def strip_norm(
 def h2_line_norm(G: RationalFunction, line: Line) -> float:
     """Energy (L2) norm of G along a vertical line via split Gramians.
 
-    The shifted system is separated into the stable part (integrated forward)
-    and the antistable part (integrated backward); each contributes a
-    controllability-Gramian term, and the two time supports are disjoint so
-    there is no cross term.
+    The realization's Schur form is split at the line (one factorisation in
+    all).  Shifted by lam, the stable block T22 is integrated forward and
+    the antistable block T11 backward, i.e. as the stable -T11; each
+    contributes B' Q B for its observability Gramian Q, solved on its
+    quasi-triangular block, and the two time supports are disjoint so there
+    is no cross term.
     """
     if G.is_zero:
         return 0.0
@@ -499,17 +502,18 @@ def h2_line_norm(G: RationalFunction, line: Line) -> float:
         raise DivergentIntegral("line energy norm diverges unless strictly proper")
     _pole_guard(G.poles, line)
     ss = realize(G)
-    shifted = StateSpace(ss.A + line.lam * np.eye(ss.n), ss.B, ss.C, ss.D)
-    split = modal_split(shifted, Line(0.0))
+    split = matkernel.split_spectrum(ss.schur, -line.lam, -line.lam)
+    p, n = split.p, ss.n
+    T, w = split.T + line.lam * np.eye(n), split.w + line.lam
+    Bt = split.inverse @ ss.B
+    Ct = ss.C @ split.transform
     total = 0.0
-    minus = split.minus
-    if minus.n:
-        P = matkernel.lyap_solve(minus.A.T, minus.B @ minus.B.T)
-        total += float((minus.C @ P @ minus.C.T)[0, 0])
-    plus = split.plus
-    if plus.n:
-        P = matkernel.lyap_solve(-plus.A.T, plus.B @ plus.B.T)
-        total += float((plus.C @ P @ plus.C.T)[0, 0])
+    if n - p:
+        Q = matkernel.lyap_quasi(T[p:, p:], w[p:], Ct[:, p:].T @ Ct[:, p:])
+        total += float((Bt[p:].T @ Q @ Bt[p:])[0, 0])
+    if p:
+        Q = matkernel.lyap_quasi(-T[:p, :p], -w[:p], Ct[:, :p].T @ Ct[:, :p])
+        total += float((Bt[:p].T @ Q @ Bt[:p])[0, 0])
     if total < -1e-12:
         raise NumericalFailure("energy norm computed negative: %g" % total)
     return math.sqrt(max(total, 0.0))

@@ -351,6 +351,27 @@ def test_dominance_certificate_with_widely_spread_eigenvalues():
         assert (np.sum(w < 0), np.sum(w == 0), np.sum(w > 0)) == (1, 0, 7)
 
 
+def test_dominance_check_rejects_a_split_that_counts_otherwise():
+    # poles() and the Schur form are separate eigensolves; where they
+    # disagree about a side of the rate line no certificate is built
+    ss = siso(np.diag([-1.0, -3.0]), [1.0, 1.0], [1.0, 1.0])
+    ss.__dict__["_poles"] = np.array([-3.0, -2.5], dtype=complex)
+    require_dominance(ss, 0, 2.0)
+    with pytest.raises(NumericalFailure, match="selected 1 eigenvalues, expected 0"):
+        dominance_check(ss, 0, 2.0)
+
+
+def test_dominance_check_rejects_a_schur_eigenvalue_on_the_rate_line():
+    # poles() puts both eigenvalues clear of the line Re(s) = -1, but the
+    # Schur form has one within TAU_LINE of it: the split's own on-band
+    # check refuses it rather than building a certificate on one side
+    ss = siso(np.diag([-1.0 + 1e-10, -3.0]), [1.0, 1.0], [1.0, 1.0])
+    ss.__dict__["_poles"] = np.array([-3.0, -1.5], dtype=complex)
+    require_dominance(ss, 0, 1.0)
+    with pytest.raises(EigenvalueInStrip, match="within tolerance of the band"):
+        dominance_check(ss, 0, 1.0)
+
+
 def test_strict_margin_accepts_only_residuals_below_the_eigensolver_error():
     from stripgain.dominance import _strict_margin
 

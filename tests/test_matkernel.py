@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from stripgain import EigenvalueInStrip, InvalidInput, SingularSylvester
+from stripgain import (
+    EigenvalueInStrip,
+    InvalidInput,
+    SampledSignal,
+    SingularSylvester,
+    StateSpace,
+    Strip,
+    convolve,
+)
 from stripgain import matkernel
 
 
@@ -60,14 +68,16 @@ def test_propagator_matches_series():
 
 def test_split_spectrum_separates_sides():
     A = np.diag([2.0, -3.0, 0.5, -1.0]) + np.triu(np.ones((4, 4)), 1)
-    T, A_plus, A_minus, p = matkernel.split_spectrum(A, -0.2, -0.2)
+    split = matkernel.split_spectrum(A, -0.2, -0.2)
+    p, T = split.p, split.transform
     assert p == 2
-    assert np.all(np.linalg.eigvals(A_plus).real > -0.2)
-    assert np.all(np.linalg.eigvals(A_minus).real < -0.2)
+    assert np.all(np.linalg.eigvals(split.T[:p, :p]).real > -0.2)
+    assert np.all(np.linalg.eigvals(split.T[p:, p:]).real < -0.2)
     # T achieves the block-diagonal similarity
     back = np.linalg.solve(T, A @ T)
     assert np.allclose(back[:p, p:], 0.0, atol=1e-8)
     assert np.allclose(back[p:, :p], 0.0, atol=1e-8)
+    assert np.allclose(split.inverse @ T, np.eye(4), atol=1e-12)
 
 
 def test_split_spectrum_rejects_eigenvalue_in_band():
@@ -86,10 +96,29 @@ def test_split_spectrum_seeded_similarity():
         c = float(rng.uniform(-1.5, 1.5))
         if np.min(np.abs(w.real - c)) < 0.1:
             continue
-        T, A_plus, A_minus, p = matkernel.split_spectrum(A, c, c)
+        split = matkernel.split_spectrum(A, c, c)
+        p, T = split.p, split.transform
         assert p == int(np.count_nonzero(w.real > c))
-        block = sla.block_diag(A_plus, A_minus) if p not in (0, n) else (
-            A_plus if p == n else A_minus
-        )
+        block = sla.block_diag(split.T[:p, :p], split.T[p:, p:])
         assert np.allclose(A @ T, T @ block, atol=1e-7 * max(1.0, np.linalg.norm(A)))
         done += 1
+
+
+@pytest.mark.parametrize("cut, p", [(2.0, 0), (-2.0, 3)])
+def test_split_spectrum_with_the_whole_spectrum_on_one_side(cut, p):
+    A = np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 1.0], [0.0, 0.0, 0.5]])
+    S = matkernel.real_schur(A)
+    split = matkernel.split_spectrum(S, cut, cut)
+    assert split.p == p and split.X.shape == (p, 3 - p)
+    # nothing to reorder or decouple: the split is the form itself
+    assert np.array_equal(split.T, S.T) and np.array_equal(split.transform, S.Z)
+    assert np.array_equal(split.inverse, S.Z.T)
+
+
+def test_split_spectrum_of_an_empty_model():
+    split = matkernel.split_spectrum(np.zeros((0, 0)), 0.0, 0.0)
+    assert split.p == 0 and split.T.shape == split.transform.shape == (0, 0)
+    # a pure feedthrough convolves through the empty split
+    ss = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[2.5]])
+    u = SampledSignal(t0=0.0, dt=0.1, values=[1.0, -2.0, 0.5])
+    assert np.array_equal(convolve(ss, Strip(0.0, 1.0), u).values, [2.5, -5.0, 1.25])

@@ -1,5 +1,5 @@
 """Hypothesis properties of the state-space norm path, the batched
-sector sweep and the gain certificates.
+sector sweep, the gain certificates and the line energy norm.
 
 Models are drawn from a seed so that every example is a well-conditioned
 realization: poles keep a margin from the rate lines and strips analyzed,
@@ -31,6 +31,7 @@ from stripgain import (
     line_norm_bisection,
     line_norm_grid,
     modal_split,
+    h2_line_norm,
     realize,
     require_dominance,
     sector_slope_gain,
@@ -39,7 +40,7 @@ from stripgain import (
     strip_norm,
     verify_gain_lmi,
 )
-from stripgain import dominance
+from stripgain import dominance, matkernel
 from stripgain.dominance import _gain_matrix
 from stripgain.stripnorm import _line_searches
 
@@ -378,3 +379,49 @@ def test_realized_tf_is_measured_through_its_polynomials(seed, degree, unstable,
     if math.isfinite(res.peak_frequency):
         want = _mp_abs(G, complex(-lam, res.peak_frequency))
         assert res.bracket[0] == pytest.approx(want, rel=1e-12)
+
+
+def _two_sided_poles(rng, degree, lam):
+    """degree poles (conjugate pairs allowed), at least one on each side of
+    Re s = -lam when degree >= 2, each at least MARGIN from it."""
+    right = int(rng.integers(1, degree)) if degree > 1 else int(rng.integers(0, 2))
+    out = []
+    for count, sign in ((right, 1.0), (degree - right, -1.0)):
+        side = []
+        while len(side) < count:
+            re = -lam + sign * rng.uniform(MARGIN, 2.0)
+            if count - len(side) >= 2 and rng.random() < 0.5:
+                im = rng.uniform(0.1, 3.0)
+                side += [complex(re, im), complex(re, -im)]
+            else:
+                side.append(complex(re, 0.0))
+        out += side
+    return out
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 6))
+def test_h2_line_norm_matches_quadrature_with_one_factorisation(seed, degree):
+    """The energy norm of a strictly proper tf with poles on both sides of a
+    line at rate lam in [0, 2] equals (1/2pi) times the integral of
+    |G(-lam + i omega)|^2 over omega, by mpmath quadrature on the input
+    polynomials, and costs one real Schur factorisation."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.0, 2.0)
+    poles = _two_sided_poles(rng, degree, lam)
+    den = np.real(np.polynomial.polynomial.polyfromroots(poles))
+    num = rng.standard_normal(int(rng.integers(1, degree + 1)))
+    with mock.patch.object(matkernel, "real_schur", wraps=matkernel.real_schur) as spy:
+        got = h2_line_norm(RationalFunction(num, den), Line(lam))
+    assert spy.call_count == 1
+    with mpmath.workdps(30):
+        nums, dens = list(reversed(num.tolist())), list(reversed(den.tolist()))
+
+        def energy(w):
+            s = mpmath.mpc(-lam, w)
+            return abs(mpmath.polyval(nums, s) / mpmath.polyval(dens, s)) ** 2
+
+        cuts = sorted({0.0} | {abs(z.imag) for z in poles} | {-abs(z.imag) for z in poles})
+        integral = mpmath.quad(energy, [-mpmath.inf] + cuts + [mpmath.inf])
+        want = mpmath.sqrt(integral / (2 * mpmath.pi))
+    assert got == pytest.approx(float(want), rel=1e-9)

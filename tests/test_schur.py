@@ -10,7 +10,7 @@ explicit inverse.
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stripgain import (
@@ -28,7 +28,7 @@ from stripgain import (
     strip_gain,
 )
 from stripgain.regions import _on_band
-from stripgain.stripnorm import frequency_response
+from stripgain.stripnorm import _hamiltonians, frequency_response
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SPECTRA = ("real", "pairs", "repeated")
@@ -163,6 +163,33 @@ def test_dominance_certificate_matches_the_dense_construction(seed, n, kind, whi
     cert = dominance_check(StateSpace(A, np.ones((n, 1)), np.ones((1, n)), [[0.0]]), p, rate)
     want = _reference_certificate(A, p, rate)
     assert np.linalg.norm(cert.P - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 20))
+def test_reordered_hamiltonian_form_matches_scipys_sorted_schur(seed, n):
+    """The gain certificate's stable subspace: real_schur plus reorder_schur
+    gives the stable count and the projector Z1 Z1' of scipy's sorted real
+    Schur form, to 1e-10.  A level below the line's norm puts eigenvalues on
+    the imaginary axis, where rounding decides either count (and scipy may
+    refuse its own reordering); such Hamiltonians have no stable subspace
+    of dimension n and are left out."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-1.0, 1.0)
+    H = _hamiltonians(
+        rng.standard_normal((1, n, n)),
+        rng.standard_normal((1, n, 1)),
+        rng.standard_normal((1, 1, n)),
+        np.array([d]),
+        np.array([rng.uniform(0.0, 2.0)]),
+        np.array([abs(d) + rng.uniform(0.1, 5.0)]),
+    )[0]
+    assume(np.abs(np.linalg.eigvals(H).real).min() > 1e-8 * np.linalg.norm(H))
+    S = matkernel.real_schur(H)
+    _, Z, _, m = matkernel.reorder_schur(S, np.diag(S.T) < 0)
+    _, Z_ref, m_ref = sla.schur(H, output="real", sort=lambda re, im: re < 0)
+    assert m == m_ref
+    assert np.abs(Z[:, :m] @ Z[:, :m].T - Z_ref[:, :m] @ Z_ref[:, :m].T).max() <= 1e-10
 
 
 def _forbid(name):

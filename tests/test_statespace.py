@@ -70,6 +70,22 @@ def test_tf_round_trip_seeded():
         assert np.allclose(back.den.coeffs, G.den.coeffs, atol=1e-8)
 
 
+def test_tf_of_eigensolves_the_perturbed_matrix_only(monkeypatch):
+    ss = StateSpace([[0.0, 1.0], [-2.0, -3.0]], [[0.0], [1.0]], [[1.0, 2.0]], [[0.0]])
+    ss.poles()
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: calls.append(A) or eigvals(A))
+    G = tf_of(ss)
+    # the denominator comes from the cached poles; the other eigensolves are
+    # the companion matrices of the result's own polynomials
+    pert = ss.A - (ss.B / np.linalg.norm(ss.B)) @ (ss.C / np.linalg.norm(ss.C))
+    assert [np.array_equal(A, pert) for A in calls].count(True) == 1
+    assert not any(np.array_equal(A, ss.A) for A in calls)
+    assert np.allclose(G.num.coeffs, [1.0, 2.0], atol=1e-12)
+    assert np.allclose(G.den.coeffs, [2.0, 3.0, 1.0], atol=1e-12)
+
+
 def test_modal_split_separates_poles():
     _, ss, strip = two_sided_example()
     split = modal_split(ss, strip)
