@@ -19,12 +19,12 @@ import numpy as np
 from .dominance import (
     SlopeLoop,
     _minus_one,
+    _sector_sweeps,
     classify_attractors,
     dominance_check,
     l2p_gain,
     feedback_compose,
     require_dominance,
-    sector_slope_gain,
     small_gain_check,
     strip_gain,
 )
@@ -436,8 +436,8 @@ def cmd_example_sec5(args) -> int:
     )
     loop = SlopeLoop(realize(L), 0.0, 1.0)
 
-    sector_lo = sector_slope_gain(loop, 2, strip.lower_line, tol, args.slopes)
-    sector_hi = sector_slope_gain(loop, 2, strip.upper_line, tol, args.slopes)
+    edges = (strip.lower_line, strip.upper_line)
+    sector_lo, sector_hi = _sector_sweeps(loop, 2, edges, tol, args.slopes)
     gamma_loop = max(sector_lo.gamma, sector_hi.gamma)
     slope_one_lo = sector_lo.evaluations[-1][1]
     slope_one_hi = sector_hi.evaluations[-1][1]

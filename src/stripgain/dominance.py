@@ -493,7 +493,7 @@ def _slope_family(L: StateSpace, slopes: np.ndarray):
     before the first slope with d = 0, whose algebraic loop is singular."""
     D = float(L.D[0, 0])
     d = 1.0 - slopes * D
-    if not np.all(d):
+    if not d.all():
         d = d[: int(np.argmin(d != 0.0))]
         slopes = slopes[: d.size]
     k = slopes[:, None, None]
@@ -522,6 +522,57 @@ class SectorGainResult:
     evaluations: tuple[tuple[float, float], ...]
 
 
+def _sector_sweeps(loop: SlopeLoop, p: int, lines, tol: float, n_slopes: int):
+    """sector_slope_gain on each of the given lines, in order, as one batch:
+    one slope family, one stack of spectra, one level search."""
+    L = loop.linear
+    require_siso(L, "sector_slope_gain")
+    if n_slopes < 1:
+        raise InvalidInput("n_slopes must be >= 1")
+    _require_tol(tol)
+    if loop.slope_lo == loop.slope_hi:
+        slopes = np.array([loop.slope_lo])
+    else:
+        slopes = np.linspace(loop.slope_lo, loop.slope_hi, n_slopes)
+    A, B, C, D = _slope_family(L, slopes)
+    spectra = matkernel.eig(A)
+    for line in lines:
+        k = _first_failing(spectra, p, line.lam)
+        if k is not None:
+            try:
+                _require_count(spectra[k], p, line.lam)
+            except NotPDominant as exc:
+                raise NotPDominantAtSlope(
+                    "closed loop at slope %g is not %d-dominant at rate %g (%s)"
+                    % (slopes[k], p, line.lam, exc),
+                    slope=float(slopes[k]),
+                    expected=p,
+                    actual=exc.actual,
+                ) from exc
+        if D.size < slopes.size:
+            raise _ill_posed(slopes[D.size])
+    K, m = slopes.size, len(lines)
+    lams = np.repeat([line.lam for line in lines], K)
+    A, B, C, D, P, ks = (np.concatenate([X] * m) for X in (A, B, C, D, spectra, slopes))
+
+    def response(members, omegas):
+        # One L response per line, as a one-line sweep makes it: a Schur form
+        # rounds with the call's size (members ascend: a line's are a slice).
+        # At a pole of L the loop tends to -1 (k != 0: at k = 0 it is L, counted)
+        ends = np.searchsorted(members, K * np.arange(1, m + 1)).tolist()
+        parts = zip(lines, [0] + ends, ends)
+        L_jw = np.concatenate([frequency_response(L, x.lam, omegas[a:b]) for x, a, b in parts])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kL = ks[members] * L_jw
+            return np.where(np.isfinite(kL), kL / (1.0 - kL), -1.0)
+
+    v = np.reshape([r.value for r in _level_search(A, B, C, D, P, lams, tol, response)], (m, K))
+    return [
+        SectorGainResult(row[j], float(slopes[j]), tuple(zip(slopes.tolist(), row)))
+        for row, j in zip(v.tolist(), v.argmax(axis=1).tolist())
+    ]
+
+
 def sector_slope_gain(
     loop: SlopeLoop,
     p: int,
@@ -538,46 +589,6 @@ def sector_slope_gain(
     dominance, whose count rejects a pole on the line; one count for the
     stack of all slopes' spectra, the first failing slope raising) and then
     searched as one batch, with the closed-loop responses k L / (1 - k L)
-    read through L's own Schur form.
+    read from L's frequency_response (Horner's rule for a realized tf).
     """
-    L = loop.linear
-    require_siso(L, "sector_slope_gain")
-    if n_slopes < 1:
-        raise InvalidInput("n_slopes must be >= 1")
-    _require_tol(tol)
-    if loop.slope_lo == loop.slope_hi:
-        slopes = np.array([loop.slope_lo])
-    else:
-        slopes = np.linspace(loop.slope_lo, loop.slope_hi, n_slopes)
-    A, B, C, D = _slope_family(L, slopes)
-    spectra = matkernel.eig(A)
-    k = _first_failing(spectra, p, line.lam)
-    if k is not None:
-        try:
-            _require_count(spectra[k], p, line.lam)
-        except NotPDominant as exc:
-            raise NotPDominantAtSlope(
-                "closed loop at slope %g is not %d-dominant at rate %g (%s)"
-                % (slopes[k], p, line.lam, exc),
-                slope=float(slopes[k]),
-                expected=p,
-                actual=exc.actual,
-            ) from exc
-    if D.size < slopes.size:
-        raise _ill_posed(slopes[D.size])
-
-    def response(members, omegas):
-        # at a pole of L the closed loop tends to -1 (no slope is 0 then:
-        # the loop at slope 0 is L, whose poles the count keeps off the line)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kL = slopes[members] * frequency_response(L, line.lam, omegas)
-            return np.where(np.isfinite(kL), kL / (1.0 - kL), -1.0)
-
-    results = _level_search(A, B, C, D, spectra, np.full(D.size, line.lam), tol, response)
-    values = [r.value for r in results]
-    best = int(np.argmax(values))
-    return SectorGainResult(
-        gamma=values[best],
-        slope_at_max=float(slopes[best]),
-        evaluations=tuple((float(k), v) for k, v in zip(slopes, values)),
-    )
+    return _sector_sweeps(loop, p, [line], tol, n_slopes)[0]

@@ -40,7 +40,7 @@ def as_square_matrix(A, name="A") -> np.ndarray:
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInput("%s must be square, got shape %r" % (name, M.shape))
-    if M.size and not np.all(np.isfinite(M)):
+    if M.size and not np.isfinite(M).all():
         raise InvalidInput("%s contains non-finite entries" % name)
     return M
 
@@ -51,7 +51,7 @@ def eig(A) -> np.ndarray:
     M = np.asarray(A, dtype=float)
     if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise InvalidInput("A must be square, got shape %r" % (M.shape,))
-    if M.size and not np.all(np.isfinite(M)):
+    if M.size and not np.isfinite(M).all():
         raise InvalidInput("A contains non-finite entries")
     if M.size == 0:
         return np.zeros(M.shape[:-1], dtype=complex)

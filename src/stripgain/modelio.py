@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quoted
 
 import numpy as np
 
@@ -131,24 +132,21 @@ def json_text(obj, indent: int = 0) -> str:
     """Serialize to JSON with float_repr for every float.
 
     Dict insertion order is preserved; nonfinite floats become strings, since
-    JSON has no literal for them.
+    JSON has no literal for them; strings are quoted as json.dumps does.
     """
     pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, (float, np.floating)):  # the types are disjoint: commonest first
         x = float(obj)
         if math.isfinite(x):
             return float_repr(x)
-        return json.dumps(float_repr(x))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return json_text(obj.tolist(), indent)
+        return _quoted(float_repr(x))
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = []
+        for k, v in obj.items():
+            parts.append(pad + "  " + _quoted(str(k)) + ": " + json_text(v, indent + 1))
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -156,13 +154,16 @@ def json_text(obj, indent: int = 0) -> str:
             pad + "  " + json_text(v, indent + 1) for v in obj
         )
         return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = []
-        for k, v in obj.items():
-            parts.append(pad + "  " + json.dumps(str(k)) + ": " + json_text(v, indent + 1))
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return _quoted(obj)
+    if isinstance(obj, np.ndarray):
+        return json_text(obj.tolist(), indent)
     raise InvalidInput("cannot serialize %r" % type(obj))
 
 

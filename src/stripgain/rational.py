@@ -133,7 +133,7 @@ def poly_roots(p: Polynomial | Sequence[float]) -> np.ndarray:
     scale = 1.0 + float(np.linalg.norm(poly.coeffs))
     allowed = TAU_ROOT * scale * np.maximum(1.0, np.abs(roots)) ** n
     resid = np.abs(poly(roots))
-    if resid.size and np.any(resid > allowed):
+    if resid.size and (resid > allowed).any():
         k = int(np.argmax(resid / allowed))
         raise NumericalFailure(
             "root residual %.3e exceeds %.3e" % (resid[k], allowed[k])
@@ -257,7 +257,7 @@ def _reduce(num: Polynomial, den: Polynomial):
     m, size = num.degree, 1.0 + float(np.abs(num.coeffs).sum())
     reach = np.maximum(1.0, np.abs(roots) + TAU_GCD * (1.0 + np.abs(roots)))
     gate = (TAU_ROOT + 2 * m * (TAU_GCD + np.finfo(float).eps)) * size * reach**m
-    if np.all(np.abs(num(roots)) > gate):  # then nothing can cancel
+    if (np.abs(num(roots)) > gate).all():  # then nothing can cancel
         return num, den, (), roots
     keep_n = list(poly_roots(num))
     keep_d = []

@@ -34,8 +34,8 @@ def _on_band(eigs, lo: float, hi: float):
         return count, np.full(count.shape, np.nan, complex)[()]
     tol = TAU_LINE * (1.0 + np.abs(re))
     on = (re >= -hi - tol) & (re <= -lo + tol)
-    first = np.take_along_axis(w, on.argmax(axis=-1)[..., None], axis=-1)[..., 0]
-    return count, np.where(on.any(axis=-1), first, np.nan)[()]
+    first = w.reshape(count.size, -1)[np.arange(count.size), on.reshape(count.size, -1).argmax(1)]
+    return count, np.where(on.any(axis=-1), first.reshape(count.shape), np.nan)[()]
 
 
 def _pole_guard(poles, region: Line | Strip) -> int:

@@ -41,7 +41,7 @@ def _as_2d(x, rows, cols, name):
         raise InvalidInput(
             "%s must have shape (%d, %d), got %r" % (name, rows, cols, M.shape)
         )
-    if M.size and not np.all(np.isfinite(M)):
+    if M.size and not np.isfinite(M).all():
         raise InvalidInput("%s contains non-finite entries" % name)
     return M
 

@@ -126,9 +126,9 @@ def _log_grid(points: int) -> np.ndarray:
 def coarse_grid(poles: np.ndarray, points: int) -> np.ndarray:
     """Frequency 0, a log grid of the given size over [GRID_OMEGA_MIN,
     GRID_OMEGA_MAX] (built once per size), and the pole resonance
-    frequencies, sorted."""
-    imag = np.abs(poles.imag)
-    return np.unique(np.concatenate([np.array([0.0]), _log_grid(points), imag[imag > 0.0]]))
+    frequencies, sorted: the one row of _grid_rows for one spectrum."""
+    row = _grid_rows(poles[None], points)[0]
+    return row[~np.isnan(row)]
 
 
 def _local_maxima(vals: np.ndarray) -> np.ndarray:
@@ -239,14 +239,6 @@ def _require_tol(tol: float) -> None:
         raise InvalidInput("tolerance must be positive and finite")
 
 
-def _pieces(flat: np.ndarray, parts):
-    """Consecutive slices of flat, one as long as each array in parts."""
-    start = 0
-    for part in parts:
-        yield flat[start : start + part.size]
-        start += part.size
-
-
 def _vertex(a: float, b: float, c: float, fa: float, fb: float, fc: float) -> float:
     """Next polish point inside (a, c) for |G| values fb >= fa, fc: the
     vertex of the parabola through the three points of 1/|G|^2 (exact at an
@@ -300,49 +292,72 @@ def _polish(starts, response, tol: float) -> dict:
     return best
 
 
+def _unique_rows(*parts) -> np.ndarray:
+    """np.unique of 0 and the non-NaN entries of each row of parts (K-row
+    arrays side by side), NaN-padded: one sort, repeats blanked, one more."""
+    X = np.sort(np.concatenate((np.zeros((parts[0].shape[0], 1)),) + parts, axis=1), axis=1)
+    X[:, 1:][X[:, 1:] == X[:, :-1]] = np.nan
+    return np.sort(X, axis=1)
+
+
+def _grid_rows(poles: np.ndarray, points: int = 64) -> np.ndarray:
+    """coarse_grid(poles[k], points) of each row of a stack (K, n) of spectra."""
+    return _unique_rows(np.tile(_log_grid(points), (len(poles), 1)), np.abs(poles.imag))
+
+
+def _crossing_rows(w: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """0 and the |Im w| of the eigenvalues in each row of w within band."""
+    return _unique_rows(np.where(np.abs(w.real) <= band[:, None], np.abs(w.imag), np.nan))
+
+
+def _measured_rows(response, members, rows: np.ndarray):
+    """|response| on rows (row i at members[i]; -inf at NaN) and each row's argmax."""
+    kept = ~np.isnan(rows)
+    mags = np.full(rows.shape, -math.inf)
+    mags[kept] = np.abs(response(members[np.nonzero(kept)[0]], rows[kept]))
+    return mags, mags.argmax(axis=1).tolist()
+
+
 def _level_search(A, B, C, D, poles, lams, tol: float, response) -> list[NormResult]:
     """Bracket sup |G_k| for K SISO systems of one size at once, member k
     on the line of rate lams[k].
 
-    A (K, n, n), B (K, n, 1), C (K, 1, n), D (K,) and lams (K,) stack the
-    members, and poles[k] is member k's spectrum (checked against its line
-    by the caller); response(members, omegas) returns
-    G_members[i](-lams[members[i]] + i omegas[i]).  Each member's lower end
-    starts at the larger of |D| and the best point of its coarse grid, which
-    _polish refines between its grid neighbours unless it is omega = 0
-    (where |G| of a real system is stationary) or the last grid point.
-    Then every step tests the levels lo + tol/2 of all unsettled members
-    with one stacked eigensolve and measures all their crossing midpoints
-    with one response call (see line_norm_bisection); from the polished
-    start a search typically settles at its first test.  A member with no
+    A (K, n, n), B (K, n, 1), C (K, 1, n), D (K,), poles (K, n) and lams
+    (K,) stack the members, poles[k] being member k's spectrum (checked
+    against its line by the caller); response(members, omegas), members
+    ascending, returns G_members[i](-lams[members[i]] + i omegas[i]).  Each
+    member's lower end starts at the larger of |D| and the best point of its
+    coarse grid, which _polish refines between its grid neighbours unless it
+    is omega = 0 (where |G| of a real system is stationary) or the last grid
+    point.  Then every step tests the levels lo + tol/2 of all unsettled
+    members with one stacked eigensolve and measures all their crossing
+    midpoints with one response call (see line_norm_bisection); from the
+    polished start a search typically settles at its first test.  Grids and
+    crossings are rows of one array, sorted at once.  A member with no
     states or a zero lower end is settled at once with the bracket (lo, lo).
     """
     K, n = D.size, A.shape[-1]
-    lo = [abs(float(x)) for x in D]
+    lo = np.abs(D).tolist()
     peak = [math.inf] * K
     if n:
-        grids = [coarse_grid(p, 64) for p in poles]
-        members = np.repeat(np.arange(K), [g.size for g in grids])
-        vals = np.abs(response(members, np.concatenate(grids)))
+        grids = _grid_rows(poles)
+        vals, best = _measured_rows(response, np.arange(K), grids)
         starts = []  # (member, (a, b, c), (|G(a)|, |G(b)|, |G(c)|)) to polish
-        for k, (g, v) in enumerate(zip(grids, _pieces(vals, grids))):
-            j = int(v.argmax())
-            if v[j] > lo[k]:
-                lo[k], peak[k] = float(v[j]), float(g[j])
-                if 0 < j < g.size - 1:
-                    w3, v3 = g[j - 1 : j + 2].tolist(), v[j - 1 : j + 2].tolist()
+        for k, (j, size) in enumerate(zip(best, (~np.isnan(grids)).sum(axis=1).tolist())):
+            if vals[k, j] > lo[k]:
+                lo[k], peak[k] = float(vals[k, j]), float(grids[k, j])
+                if 0 < j < size - 1:
+                    w3, v3 = grids[k, j - 1 : j + 2].tolist(), vals[k, j - 1 : j + 2].tolist()
                     starts.append((k, tuple(w3), tuple(v3)))
         for k, (w, v) in _polish(starts, response, tol).items():
             lo[k], peak[k] = v, w
     live = [k for k in range(K) if n and lo[k] > 0.0]
     hi = list(lo)
     peak = [f if k in live else 0.0 for k, f in enumerate(peak)]
-    stack = (A, B, C, D, lams)  # restricted to the live members
-    if len(live) < K:
-        stack = tuple(X[live] for X in stack)
     for _ in range(50):
         if not live:
             break
+        stack = tuple(X[live] for X in (A, B, C, D, lams))
         # lo + tol would let rounding push the bracket width past tol
         gamma = np.array([lo[k] for k in live]) + 0.5 * tol
         try:
@@ -357,22 +372,16 @@ def _level_search(A, B, C, D, poles, lams, tol: float, response) -> list[NormRes
             ) from exc
         w = matkernel.eig(H)
         band = 3.0 * TAU_HAM * np.maximum(1.0, np.sqrt(np.einsum("kij,kij->k", H, H)))
-        mids = []
-        for wk, bk in zip(w, band):
-            cands = np.unique(np.concatenate([[0.0], np.abs(wk.imag[np.abs(wk.real) <= bk])]))
-            mids.append(0.5 * (cands[:-1] + cands[1:]))
-        members = np.repeat(live, [m.size for m in mids])
-        mags = np.abs(response(members, np.concatenate(mids)))
+        cands = _crossing_rows(w, band)
+        mids = 0.5 * (cands[:, :-1] + cands[:, 1:])
+        mags, best = _measured_rows(response, np.array(live), mids)
         unsettled = []
-        for k, g, m, v in zip(live, gamma, mids, _pieces(mags, mids)):
-            if m.size == 0 or v.max() <= lo[k]:
-                hi[k] = float(g)
+        for i, (k, g, j) in enumerate(zip(live, gamma.tolist(), best)):
+            if mags[i, j] <= lo[k]:  # -inf when there is no midpoint
+                hi[k] = g
             else:
-                j = int(v.argmax())
-                lo[k], peak[k] = float(v[j]), float(m[j])
+                lo[k], peak[k] = float(mags[i, j]), float(mids[i, j])
                 unsettled.append(k)
-        if len(unsettled) < len(live):
-            stack = tuple(X[unsettled] for X in (A, B, C, D, lams))
         live = unsettled
     if live:
         raise NumericalFailure("level iteration did not settle in 50 steps")
@@ -388,26 +397,18 @@ def _level_search(A, B, C, D, poles, lams, tol: float, response) -> list[NormRes
     ]
 
 
-def _line_searches(
-    system: StateSpace | RationalFunction, lines, tol: float
-) -> list[NormResult]:
-    """line_norm_bisection on each of the given lines of one system, run as
-    one batch: every step makes one stacked eigensolve and one response
-    call for all lines, through one realization."""
-    ss = as_state_space(system)
-    require_siso(ss, "line_norm_bisection")
-    _require_tol(tol)
-    poles = ss.poles()
-    for line in lines:
-        _pole_guard(poles, line)
+def _line_searches(ss: StateSpace, lines, tol: float) -> list[NormResult]:
+    """line_norm_bisection on each of the given lines of one SISO system,
+    whose poles the caller has kept off them, run as one batch: every step
+    makes one stacked eigensolve and one response call for all lines."""
     K = len(lines)
     lams = np.array([line.lam for line in lines])
 
     def response(members, omegas):
         return frequency_response(ss, lams[members], omegas)
 
-    A, B, C = (np.broadcast_to(X, (K,) + X.shape) for X in (ss.A, ss.B, ss.C))
-    return _level_search(A, B, C, np.repeat(ss.D[0], K), [poles] * K, lams, tol, response)
+    A, B, C, P = (np.array([X] * K) for X in (ss.A, ss.B, ss.C, ss.poles()))
+    return _level_search(A, B, C, np.repeat(ss.D[0], K), P, lams, tol, response)
 
 
 def line_norm_bisection(
@@ -426,7 +427,11 @@ def line_norm_bisection(
     (Boyd and Balakrishnan 1990, Bruinsma and Steinbuch 1990).  The name is
     kept from the bisection this iteration replaced.
     """
-    return _line_searches(system, [line], tol)[0]
+    ss = as_state_space(system)
+    require_siso(ss, "line_norm_bisection")
+    _require_tol(tol)
+    _pole_guard(ss.poles(), line)
+    return _line_searches(ss, [line], tol)[0]
 
 
 def singular_value_test(
@@ -469,6 +474,8 @@ def strip_norm(
     poles = ss.poles()
     _pole_guard(poles, strip)
     if method == "bisection":
+        require_siso(ss, "line_norm_bisection")
+        _require_tol(tol)  # the strip's guard covers its edges
         lo_res, hi_res = _line_searches(ss, (strip.lower_line, strip.upper_line), tol)
     else:
         lo_res = _line_norm(ss, strip.lower_line, method, tol)

@@ -236,6 +236,47 @@ def test_example_sec5_large_lag_not_confirmed(capsys):
     assert out.strip().endswith("robust 2-dominance: NOT CONFIRMED")
 
 
+def test_example_sec5_runs_one_sweep_and_one_lag_search(capsys, monkeypatch):
+    """A default walk-through builds the slope family once, runs two level
+    searches (the sector sweep over both strip edges, and the lag block's
+    strip), eigensolves at most five times and sorts no member's grid or
+    crossings one at a time (np.unique) inside the level search."""
+    from stripgain import dominance, matkernel, stripnorm
+
+    counts = {"family": 0, "search": 0, "eig": 0, "unique_in_search": 0}
+    inside = []
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def searching(*args, **kwargs):
+        counts["search"] += 1
+        inside.append(True)
+        try:
+            return level_search(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def unique(*args, **kwargs):
+        counts["unique_in_search"] += bool(inside)
+        return np_unique(*args, **kwargs)
+
+    level_search, np_unique = stripnorm._level_search, np.unique
+    monkeypatch.setattr(dominance, "_slope_family", counted("family", dominance._slope_family))
+    monkeypatch.setattr(matkernel, "eig", counted("eig", matkernel.eig))
+    monkeypatch.setattr(stripnorm, "_level_search", searching)
+    monkeypatch.setattr(dominance, "_level_search", searching)
+    monkeypatch.setattr(np, "unique", unique)
+    code, out = run(capsys, ["example-sec5"])
+    assert code == 0 and out.strip().endswith("CONFIRMED")
+    assert counts["family"] == 1 and counts["search"] == 2
+    assert counts["eig"] <= 5 and counts["unique_in_search"] == 0
+
+
 def random_stable_ss(seed, n):
     """Stable SISO model in a random basis of condition number at most 4:
     poles with Re in [-4, -0.6] and |Im| up to 4, Gaussian B and C."""

@@ -41,8 +41,14 @@ from stripgain import (
     verify_gain_lmi,
 )
 from stripgain import dominance, matkernel
-from stripgain.dominance import _gain_matrix
-from stripgain.stripnorm import _line_searches
+from stripgain.dominance import _gain_matrix, _sector_sweeps
+from stripgain.stripnorm import (
+    _crossing_rows,
+    _grid_rows,
+    _line_searches,
+    _log_grid,
+    coarse_grid,
+)
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 MARGIN = 0.3
@@ -172,6 +178,41 @@ def test_batched_strip_edges_match_separate_line_searches(seed, n, unstable, fee
         assert got.value == pytest.approx(want.value, abs=tol)
 
 
+def _kept(row):
+    """The non-NaN head of a NaN-padded row, checking that NaN only pads."""
+    size = int(np.count_nonzero(~np.isnan(row)))
+    assert np.isnan(row[size:]).all()
+    return row[:size]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 6), n=st.integers(1, 8))
+def test_batched_rows_are_the_per_member_grids_and_candidates(seed, K, n):
+    """The level search's grid and crossing-candidate rows hold, row by row
+    and bit for bit, what np.unique gives each member alone (the per-member
+    grid and candidates it replaced), in the same order.  The spectra mix
+    conjugate pairs, |Im| repeated within and across rows, real poles, pole
+    frequencies on log-grid points and eigenvalues exactly on the axis."""
+    rng = np.random.default_rng(seed)
+    freqs = np.concatenate([rng.uniform(0.0, 5.0, 3), _log_grid(64)[rng.integers(0, 64, 3)]])
+    freqs[0] = 0.0
+    im = rng.choice(freqs, (K, n)) * rng.choice([-1.0, 1.0], (K, n))
+    re = rng.choice([0.0, -1.0, 1.0], (K, n)) * rng.uniform(0.5, 2.0, (K, n))
+    spectra = re + 1j * im
+    pairs = rng.random(K) < 0.5  # conjugate halves in the second half of a row
+    half = n // 2
+    spectra[pairs, n - half :] = spectra[pairs, :half].conj()
+    for row, w in zip(_grid_rows(spectra), spectra):
+        imag = np.abs(w.imag)
+        want = np.unique(np.concatenate([[0.0], _log_grid(64), imag[imag > 0.0]]))
+        assert _kept(row).tobytes() == want.tobytes()
+        assert coarse_grid(w, 64).tobytes() == want.tobytes()
+    band = rng.choice([0.0, 1.0, 10.0], K)
+    for row, w, b in zip(_crossing_rows(spectra, band), spectra, band):
+        want = np.unique(np.concatenate([[0.0], np.abs(w.imag[np.abs(w.real) <= b])]))
+        assert _kept(row).tobytes() == want.tobytes()
+
+
 def _stable_model(rng, n, tf, lo, hi):
     """A model with every pole left of the rate band [lo, hi] widened by
     MARGIN: a StateSpace of n states, or a transfer function of degree
@@ -275,6 +316,70 @@ def test_sector_sweep_matches_slope_by_slope_searches(seed, n, feedthrough, n_sl
     for (_, value), ref in zip(got.evaluations, want):
         assert value == pytest.approx(ref, rel=1e-12 * max(1.0, ref), abs=0.0)
     assert got.gamma == pytest.approx(max(want), rel=1e-12 * max(1.0, max(want)), abs=0.0)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    tf=st.booleans(),
+    feedthrough=st.booleans(),
+    n_slopes=st.integers(1, 13),
+)
+def test_one_sweep_over_two_lines_is_two_single_line_sweeps(seed, n, tf, feedthrough, n_slopes):
+    """A sweep over a strip's two edges returns, bit for bit, the results of
+    two single-line sweeps, or raises what the first of them to fail raises.
+    The slopes reach up to 1.5 over the loop's gain on the upper edge, so
+    some loops lose dominance at one edge or both."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 1.0)
+    strip = Strip(lo, lo + rng.uniform(0.2, 1.0))
+    poles = _poles(rng, n, strip.lo, strip.hi, False)
+    if tf:
+        den = np.real(np.polynomial.polynomial.polyfromroots(poles))
+        num = rng.standard_normal(n + 1 if feedthrough else int(rng.integers(1, n + 1)))
+        L = realize(RationalFunction(num, den))
+    else:
+        d = rng.uniform(-1.0, 1.0) if feedthrough else 0.0
+        B, C = rng.standard_normal((n, 1)), rng.standard_normal((1, n))
+        L = _change_basis(rng, _block_form(poles), B, C, [[d]])
+    k_hi = rng.uniform(0.2, 1.5) / line_norm_bisection(L, strip.upper_line).value
+    loop = SlopeLoop(L, -k_hi * rng.uniform(0.0, 1.0), k_hi)
+    lines, tol = (strip.lower_line, strip.upper_line), 1e-6
+
+    got, err = _outcome(lambda: _sector_sweeps(loop, 0, lines, tol, n_slopes))
+    want, want_err = [], None
+    for line in lines:
+        res, want_err = _outcome(lambda: sector_slope_gain(loop, 0, line, tol, n_slopes))
+        if want_err is not None:
+            break
+        want.append(res)
+    if want_err is not None:
+        assert type(err) is type(want_err) and str(err) == str(want_err)
+        assert getattr(err, "slope", None) == getattr(want_err, "slope", None)
+        return
+    assert err is None
+    assert repr(got) == repr(want)
+
+
+def test_sweep_failing_at_the_upper_edge_raises_that_edges_error():
+    # L = 1/(s + 1): the loop at slope k has its pole at k - 1, so slopes
+    # 0, 0.25, 0.5 keep it left of the line at rate 0.2 and the last two
+    # put it right of the line at rate 0.8
+    L = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+    loop = SlopeLoop(L, 0.0, 0.5)
+    lower, upper = Line(0.2), Line(0.8)
+    assert len(sector_slope_gain(loop, 0, lower, 1e-6, 3).evaluations) == 3
+    with pytest.raises(NotPDominantAtSlope) as single:
+        sector_slope_gain(loop, 0, upper, 1e-6, 3)
+    with pytest.raises(NotPDominantAtSlope) as swept:
+        _sector_sweeps(loop, 0, (lower, upper), 1e-6, 3)
+    for info in (single, swept):
+        assert (info.value.slope, info.value.expected, info.value.actual) == (0.25, 0, 1)
+        assert str(info.value) == (
+            "closed loop at slope 0.25 is not 0-dominant at rate 0.8 "
+            "(expected 0 eigenvalues right of the shifted axis, found 1)"
+        )
 
 
 @PROPERTY

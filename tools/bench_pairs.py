@@ -24,9 +24,18 @@ verdict follows the benchmark's rules:
 
 ``gain`` is true when the change wins at least nine tenths of the pairs,
 the medians differ by more than the parent's quartile distance, and the
-change fails no more operations over all pairs than the parent.  The pairs,
-the failed and attempted operations of every run, and the summary are
-written to BENCH_<W>.json in the current directory, and a table is printed.
+change fails no more operations over all pairs than the parent.
+
+After the pairs, each checkout makes one traced run (``--trace 1``) at seed 1
+for S seconds, the parent first.  Its per-layer metrics (tracing.py) are
+call counts, points and bytes per round, which repeat exactly from run to
+run, so they back up the timings; the self times beside them are only as
+steady as the machine.
+
+The pairs, the failed and attempted operations of every run, the summary and
+the two traced runs' per-layer metrics are written to BENCH_<W>.json in the
+current directory, and two tables are printed: the end-to-end metrics, and
+the per-layer metrics other than times.
 """
 
 from __future__ import annotations
@@ -54,14 +63,14 @@ def parse_args(argv, run_seconds: float):
     return args
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result line of one untraced benchmark run of a checkout."""
+def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The JSON result line of one benchmark run of a checkout."""
     script = os.path.join(os.path.abspath(checkout), "benchmark", "run.py")
     if not os.path.isfile(script):
         raise SystemExit("bench_pairs: no benchmark/run.py under %s" % checkout)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, script, "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", "0"]
+           "--seconds", repr(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=os.path.dirname(os.path.dirname(script)), env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -119,8 +128,13 @@ def main(argv=None) -> int:
         values = {side: [p[side]["metrics"][m["name"]]["value"] for p in pairs]
                   for side in ("parent", "change")}
         summary[m["name"]] = summarise(m, values["parent"], values["change"], fails_more)
+    traced = {"seed": 1}
+    for side, checkout in (("parent", args.parent), ("change", args.change)):
+        traced[side] = run_once(checkout, args.workload, 1, args.seconds, trace=1)["metrics"]
+    sys.stderr.write("traced runs done\n")
     report = {"workload": args.workload, "seconds": args.seconds,
-              "failed_of_attempted": failed, "summary": summary, "pairs": pairs}
+              "failed_of_attempted": failed, "summary": summary, "pairs": pairs,
+              "traced": traced}
     out = "BENCH_%s.json" % args.workload
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
@@ -136,6 +150,14 @@ def main(argv=None) -> int:
               % (name, s["unit"], a["median"], a["q1"], a["q3"], b["median"], b["q1"], b["q3"],
                  100 * s["median_worse_by"], 100 * s["widest_spread"], s["change_wins"],
                  s["parent_wins"], s["ties"], s["verdict"] + (", gain" if s["gain"] else "")))
+    print()
+    print("| per-layer metric, traced seed-1 run | parent | change |")
+    print("|---|---|---|")
+    for name, m in traced["parent"].items():
+        if m["unit"] != "s":
+            change = traced["change"].get(name, {}).get("value")
+            print("| %s (%s) | %.6g | %s |" % (name, m["unit"], m["value"],
+                                              "absent" if change is None else "%.6g" % change))
     return 0
 
 
