@@ -39,7 +39,6 @@ from .errors import (
     PoleInROC,
     PoleInStrip,
     PoleOnLine,
-    PoleProximity,
     SingularSylvester,
     StripgainError,
     Unsupported,
@@ -48,15 +47,11 @@ from .errors import (
 from .regions import Line, Strip
 from .rational import (
     PartialFractionTerm,
-    PolePartition,
     Polynomial,
     RationalFunction,
     partial_fractions,
-    pole_partition,
     poly_roots,
-    rational_eval,
     recombine,
-    shift,
 )
 from .statespace import (
     ModalSplit,
@@ -110,7 +105,6 @@ from .laplace import (
     SignalSpec,
     SignalTerm,
     eval_signal,
-    eval_signal_grid,
     forward,
     inverse,
     roc_options,
@@ -144,8 +138,6 @@ __all__ = [
     "PoleInROC",
     "PoleInStrip",
     "PoleOnLine",
-    "PolePartition",
-    "PoleProximity",
     "Polynomial",
     "ROC",
     "RationalFunction",
@@ -167,7 +159,6 @@ __all__ = [
     "decompose_line",
     "dominance_check",
     "eval_signal",
-    "eval_signal_grid",
     "feedback_compose",
     "forward",
     "frequency_response_data",
@@ -181,15 +172,12 @@ __all__ = [
     "maxmod_slack",
     "modal_split",
     "partial_fractions",
-    "pole_partition",
     "poly_roots",
-    "rational_eval",
     "realize",
     "recombine",
     "require_dominance",
     "roc_options",
     "sector_slope_gain",
-    "shift",
     "singular_value_test",
     "slope_closed_loop",
     "small_gain_check",

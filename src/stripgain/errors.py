@@ -17,14 +17,6 @@ class NumericalFailure(StripgainError):
     """A computation finished but violated its own residual check."""
 
 
-class PoleProximity(StripgainError):
-    """Evaluation point is too close to a pole for a trustworthy value."""
-
-    def __init__(self, msg, pole=None):
-        super().__init__(msg)
-        self.pole = pole
-
-
 class PoleInStrip(StripgainError):
     """A pole lies inside the closed strip under analysis."""
 

@@ -255,9 +255,3 @@ def eval_signal(spec: SignalSpec, t: float) -> float:
         total += val
         scale = max(scale, abs(val))
     return _real_part(total, scale)
-
-
-def eval_signal_grid(spec: SignalSpec, times) -> np.ndarray:
-    """eval_signal over an array of times."""
-    ts = np.asarray(times, dtype=float)
-    return np.array([eval_signal(spec, float(t)) for t in ts.ravel()]).reshape(ts.shape)

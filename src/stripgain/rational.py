@@ -1,4 +1,4 @@
-"""Polynomials and scalar rational functions with strip-aware pole queries.
+"""Polynomials and scalar rational functions.
 
 Coefficients are stored in ascending order (c[k] multiplies s**k), real only.
 Rational functions are normalized to a monic denominator on construction and
@@ -12,19 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from . import matkernel
-from .errors import InvalidInput, NumericalFailure, PoleProximity
-from .regions import Strip, _pole_guard
+from .errors import InvalidInput, NumericalFailure
 
 TAU_ROOT = 1e-8
 TAU_GCD = 1e-9
 TAU_EVAL = 1e-9
-TAU_POLE = 1e-9
 
 # relative tolerance for merging nearly equal denominator roots into one
 # higher-order pole; companion-matrix roots of an m-fold root scatter by
@@ -86,11 +84,6 @@ class Polynomial:
 
     def scale(self, c: float) -> "Polynomial":
         return Polynomial(np.asarray(self.coeffs) * float(c))
-
-    def shift(self, lam: float) -> "Polynomial":
-        """Return the polynomial q with q(s) = p(s - lam)."""
-        p = np.polynomial.Polynomial(self.coeffs)
-        return Polynomial(p(np.polynomial.Polynomial([-float(lam), 1.0])).coef)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(npp.polymul(self.coeffs, other.coeffs))
@@ -202,12 +195,8 @@ class RationalFunction:
         return poly_roots(self.num)
 
     def eval_unchecked(self, s):
-        """Evaluate without the pole-proximity guard (vectorized)."""
+        """Evaluate num(s) / den(s), vectorized, with no check of the distance to a pole."""
         return self.num(s) / self.den(s)
-
-    def shift(self, lam: float) -> "RationalFunction":
-        """Return H with H(s) = G(s - lam)."""
-        return RationalFunction(self.num.shift(lam), self.den.shift(lam))
 
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
@@ -285,27 +274,6 @@ def _reduce(num: Polynomial, den: Polynomial):
     return num, den, (), roots
 
 
-def rational_eval(G: RationalFunction, s: complex) -> complex:
-    """Evaluate G at a point, refusing evaluation too close to a pole."""
-    z = complex(s)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidInput("evaluation point must be finite")
-    tol = TAU_POLE * (1.0 + abs(z))
-    for p in G.poles:
-        if abs(z - p) <= tol:
-            raise PoleProximity(
-                "evaluation point %s within %.3e of pole %s" % (z, tol, p), pole=p
-            )
-    return complex(G.num(z)) / complex(G.den(z))
-
-
-def shift(G: RationalFunction, lam: float) -> RationalFunction:
-    """Recentre G on the vertical line at rate lam: returns s -> G(s - lam)."""
-    if not math.isfinite(lam):
-        raise InvalidInput("shift rate must be finite")
-    return G.shift(lam)
-
-
 @dataclass(frozen=True)
 class PartialFractionTerm:
     """Single term coefficient / (s - pole)**order."""
@@ -313,11 +281,6 @@ class PartialFractionTerm:
     pole: complex
     order: int
     coefficient: complex
-
-
-class PolePartition(NamedTuple):
-    right: int
-    left: int
 
 
 def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
@@ -500,16 +463,3 @@ def recombine(poly_part: Polynomial, terms: Sequence[PartialFractionTerm]) -> Ra
         Polynomial.from_computed(num_r, rel_tol=1e-12),
         Polynomial.from_computed(den_c.real, rel_tol=1e-12),
     )
-
-
-def pole_partition(G: RationalFunction, strip: Strip) -> PolePartition:
-    """Count poles on each side of a strip, rejecting poles inside it.
-
-    A pole on the closed strip, by the rule of regions._on_band, raises
-    PoleInStrip, because side counts that close to the boundary are not
-    trustworthy.
-    """
-    if not isinstance(strip, Strip):
-        raise InvalidInput("pole_partition expects a Strip")
-    right = _pole_guard(G.poles, strip)
-    return PolePartition(right=right, left=G.poles.size - right)

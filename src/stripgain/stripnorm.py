@@ -550,8 +550,8 @@ def frequency_response_data(
 ) -> np.ndarray:
     """Tabulate G along a line: rows (omega, re, im, mag, uncertainty * mag).
     It alone also takes a bare RationalFunction, which may be improper."""
-    if uncertainty < 0:
-        raise InvalidInput("uncertainty scale must be >= 0")
+    if not (uncertainty >= 0 and math.isfinite(uncertainty)):
+        raise InvalidInput("uncertainty scale must be finite and >= 0")
     bare = isinstance(system, RationalFunction)  # possibly improper
     _pole_guard(system.poles if bare else system.poles(), line)
     w = np.asarray(omegas, dtype=float)

@@ -468,6 +468,12 @@ def test_improper_tf_has_tables_and_no_norms(capsys, tmp_path):
         }
 
 
+def test_nyquist_rejects_a_non_finite_uncertainty(capsys, first_order):
+    for value in ("nan", "inf", "-0.5"):
+        assert main(["nyquist", first_order, "--line", "0.5", "--uncertainty", value]) == 3, value
+        assert capsys.readouterr() == ("", "error: uncertainty scale must be finite and >= 0\n")
+
+
 def test_tf_gain_finds_its_poles_and_lower_end_through_its_polynomials(
     capsys, monkeypatch, tmp_path
 ):
