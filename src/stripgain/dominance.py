@@ -93,11 +93,11 @@ def _require_count(poles: np.ndarray, p: int, rate: float) -> None:
         raise InvalidInput("p must lie in [0, %d], got %d" % (n, p))
     if not math.isfinite(rate) or rate < 0:
         raise InvalidInput("rate must be finite and >= 0")
-    count, near = _on_band(poles, rate, rate)
-    if not np.isnan(near):
+    count, on = _on_band(poles, rate, rate)
+    if on.any():
         raise MarginalRate(
             "eigenvalue %s of the shifted matrix sits on the axis; "
-            "dominance at rate %g is marginal" % (near + rate, rate)
+            "dominance at rate %g is marginal" % (poles[on][0] + rate, rate)
         )
     if count != p:
         raise NotPDominant(
@@ -105,14 +105,6 @@ def _require_count(poles: np.ndarray, p: int, rate: float) -> None:
             expected=p,
             actual=int(count),
         )
-
-
-def _first_failing(spectra: np.ndarray, p: int, rate: float) -> int | None:
-    """Index of the first spectrum in a stack (K, n) that _require_count
-    rejects, by one count of the whole stack, or None."""
-    count, near = _on_band(spectra, rate, rate)
-    bad = np.flatnonzero(~np.isnan(near) | (count != p))
-    return int(bad[0]) if bad.size else None
 
 
 def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate:
@@ -529,6 +521,11 @@ def _sector_sweeps(loop: SlopeLoop, p: int, lines, tol: float, n_slopes: int):
     require_siso(L, "sector_slope_gain")
     if n_slopes < 1:
         raise InvalidInput("n_slopes must be >= 1")
+    if n_slopes < 2 and loop.slope_lo < loop.slope_hi:
+        raise InvalidInput(
+            "n_slopes must be >= 2 to sample the slope interval [%g, %g]"
+            % (loop.slope_lo, loop.slope_hi)
+        )
     _require_tol(tol)
     if loop.slope_lo == loop.slope_hi:
         slopes = np.array([loop.slope_lo])
@@ -537,8 +534,8 @@ def _sector_sweeps(loop: SlopeLoop, p: int, lines, tol: float, n_slopes: int):
     A, B, C, D = _slope_family(L, slopes)
     spectra = matkernel.eig(A)
     for line in lines:
-        k = _first_failing(spectra, p, line.lam)
-        if k is not None:
+        count, on = _on_band(spectra, line.lam, line.lam)
+        for k in np.flatnonzero(on.any(-1) | (count != p))[:1]:
             try:
                 _require_count(spectra[k], p, line.lam)
             except NotPDominant as exc:
@@ -561,7 +558,9 @@ def _sector_sweeps(loop: SlopeLoop, p: int, lines, tol: float, n_slopes: int):
         # At a pole of L the loop tends to -1 (k != 0: at k = 0 it is L, counted)
         ends = np.searchsorted(members, K * np.arange(1, m + 1)).tolist()
         parts = zip(lines, [0] + ends, ends)
-        L_jw = np.concatenate([frequency_response(L, x.lam, omegas[a:b]) for x, a, b in parts])
+        L_jw = np.concatenate(
+            [frequency_response(L, x.lam, omegas[a:b]) for x, a, b in parts if b > a]
+        )
         with np.errstate(divide="ignore", invalid="ignore"):
             kL = ks[members] * L_jw
             return np.where(np.isfinite(kL), kL / (1.0 - kL), -1.0)
@@ -584,11 +583,13 @@ def sector_slope_gain(
 
     Every sampled slope must keep the closed loop p-dominant at the rate;
     a failing slope raises NotPDominantAtSlope.  The returned gamma is the
-    max of the per-slope gains (the slope grid stands in for a continuous
-    sector search).  The slopes are checked in order (well-posed loop, then
-    dominance, whose count rejects a pole on the line; one count for the
-    stack of all slopes' spectra, the first failing slope raising) and then
-    searched as one batch, with the closed-loop responses k L / (1 - k L)
-    read from L's frequency_response (Horner's rule for a realized tf).
+    max of the per-slope gains (the slope grid, n_slopes >= 2 equally spaced
+    slopes from slope_lo to slope_hi or the one slope of a degenerate
+    interval, stands in for a continuous sector search).  The slopes are
+    checked in order (well-posed loop, then dominance, whose count rejects a
+    pole on the line; one count for the stack of all slopes' spectra, the
+    first failing slope raising) and then searched as one batch, with the
+    closed-loop responses k L / (1 - k L) read from L's frequency_response
+    (Horner's rule for a realized tf).
     """
     return _sector_sweeps(loop, p, [line], tol, n_slopes)[0]

@@ -258,11 +258,11 @@ def split_spectrum(S, band_lo: float, band_hi: float) -> SchurSplit:
     if band_lo > band_hi:
         raise InvalidInput("band_lo must not exceed band_hi")
     S = S if isinstance(S, RealSchur) else real_schur(S)
-    count, bad = _on_band(S.w, -band_hi, -band_lo)
-    if not np.isnan(bad):
+    count, on = _on_band(S.w, -band_hi, -band_lo)
+    if on.any():
         raise EigenvalueInStrip(
             "eigenvalue %s lies within tolerance of the band [%g, %g]"
-            % (bad, band_lo, band_hi)
+            % (S.w[on][0], band_lo, band_hi)
         )
     p, n = int(count), S.T.shape[0]
     T, Z, w, m = reorder_schur(S, np.diag(S.T) > band_hi)

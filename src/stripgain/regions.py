@@ -24,30 +24,24 @@ TAU_LINE = 1e-8
 def _on_band(eigs, lo: float, hi: float):
     """The one on-line rule, for eigenvalues against the closed rate interval
     [lo, hi] (the band -hi <= Re s <= -lo), on one spectrum or on each row of
-    a stack of spectra (..., n): returns (count, near) in the stack's shape,
-    the count of eigenvalues right of Re s = -lo and the first eigenvalue
-    within TAU_LINE * (1 + |Re|) of the band, or NaN where none is."""
-    w = np.asarray(eigs, dtype=complex)
-    re = w.real
-    count = (re > -lo).sum(axis=-1)
-    if not w.shape[-1]:
-        return count, np.full(count.shape, np.nan, complex)[()]
+    a stack of spectra (..., n): returns (count, on), the count of
+    eigenvalues right of Re s = -lo, of shape (...), and the mask, of shape
+    (..., n), of those within TAU_LINE * (1 + |Re|) of the band."""
+    re = np.real(eigs)
     tol = TAU_LINE * (1.0 + np.abs(re))
-    on = (re >= -hi - tol) & (re <= -lo + tol)
-    first = w.reshape(count.size, -1)[np.arange(count.size), on.reshape(count.size, -1).argmax(1)]
-    return count, np.where(on.any(axis=-1), first.reshape(count.shape), np.nan)[()]
+    return (re > -lo).sum(axis=-1), (re >= -hi - tol) & (re <= -lo + tol)
 
 
 def _pole_guard(poles, region: Line | Strip) -> int:
     """Count the poles right of a line or closed strip, rejecting one on it
     by the rule of _on_band."""
     lo, hi = (region.lam, region.lam) if isinstance(region, Line) else (region.lo, region.hi)
-    count, near = _on_band(poles, lo, hi)
-    if not np.isnan(near):
+    count, on = _on_band(poles, lo, hi)
+    if on.any():
         if isinstance(region, Line):
-            raise PoleOnLine("pole %s lies on the line Re(s) = %g" % (near, -lo))
+            raise PoleOnLine("pole %s lies on the line Re(s) = %g" % (poles[on][0], -lo))
         raise PoleInStrip(
-            "pole %s lies in or on the strip Re(s) in [%g, %g]" % (near, -hi, -lo)
+            "pole %s lies in or on the strip Re(s) in [%g, %g]" % (poles[on][0], -hi, -lo)
         )
     return int(count)
 

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .rational import Polynomial, RationalFunction, partial_fractions, recombine
 from .regions import Line, Strip, _pole_guard
-from .statespace import StateSpace, as_state_space, realize, require_siso
+from .statespace import StateSpace, as_state_space, require_siso, tf_of
 
 TAU_HAM = 1e-7
 
@@ -314,7 +314,8 @@ def _measured_rows(response, members, rows: np.ndarray):
     """|response| on rows (row i at members[i]; -inf at NaN) and each row's argmax."""
     kept = ~np.isnan(rows)
     mags = np.full(rows.shape, -math.inf)
-    mags[kept] = np.abs(response(members[np.nonzero(kept)[0]], rows[kept]))
+    if kept.any():
+        mags[kept] = np.abs(response(members[np.nonzero(kept)[0]], rows[kept]))
     return mags, mags.argmax(axis=1).tolist()
 
 
@@ -493,7 +494,7 @@ def strip_norm(
     return replace(res, attaining_boundary=side, boundary_values=(lo_res.value, hi_res.value))
 
 
-def h2_line_norm(G: RationalFunction, line: Line) -> float:
+def h2_line_norm(G: StateSpace | RationalFunction, line: Line) -> float:
     """Energy (L2) norm of G along a vertical line via split Gramians.
 
     The realization's Schur form is split at the line (one factorisation in
@@ -501,14 +502,14 @@ def h2_line_norm(G: RationalFunction, line: Line) -> float:
     the antistable block T11 backward, i.e. as the stable -T11; each
     contributes B' Q B for its observability Gramian Q, solved on its
     quasi-triangular block, and the two time supports are disjoint so there
-    is no cross term.
+    is no cross term.  A model with no states has norm 0; one with a
+    feedthrough, or an improper transfer function, diverges.
     """
-    if G.is_zero:
-        return 0.0
-    if not G.is_strictly_proper:
+    ss = as_state_space(G) if isinstance(G, StateSpace) or G.is_proper else None
+    if ss is None or ss.D.any():
         raise DivergentIntegral("line energy norm diverges unless strictly proper")
-    _pole_guard(G.poles, line)
-    ss = realize(G)
+    require_siso(ss, "h2_line_norm")
+    _pole_guard(ss.poles(), line)
     split = matkernel.split_spectrum(ss.schur, -line.lam, -line.lam)
     p, n = split.p, ss.n
     T, w = split.T + line.lam * np.eye(n), split.w + line.lam
@@ -526,13 +527,16 @@ def h2_line_norm(G: RationalFunction, line: Line) -> float:
     return math.sqrt(max(total, 0.0))
 
 
-def decompose_line(G: RationalFunction, line: Line):
+def decompose_line(G: StateSpace | RationalFunction, line: Line):
     """Split G into the parts analytic right and left of a vertical line.
 
     Returns (g_minus, g_plus): g_minus collects the partial-fraction terms
     whose poles lie left of the line, g_plus those right of it; they sum back
-    to G.
+    to G.  A state-space model is split as its transfer function (its
+    realized one, or tf_of).
     """
+    if isinstance(G, StateSpace):
+        G = G._tf if G._tf is not None else tf_of(G)
     if not G.is_strictly_proper:
         raise ImproperTransferFunction("line decomposition needs a strictly proper G")
     _pole_guard(G.poles, line)

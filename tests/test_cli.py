@@ -236,6 +236,14 @@ def test_example_sec5_large_lag_not_confirmed(capsys):
     assert out.strip().endswith("robust 2-dominance: NOT CONFIRMED")
 
 
+def test_example_sec5_rejects_a_single_slope(capsys):
+    # one slope would sample the sector [0, 1] at k = 0 only
+    assert main(["example-sec5", "--slopes", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_slopes must be >= 2 to sample the slope interval [0, 1]" in captured.err
+
+
 def test_example_sec5_runs_one_sweep_and_one_lag_search(capsys, monkeypatch):
     """A default walk-through builds the slope family once, runs two level
     searches (the sector sweep over both strip edges, and the lag block's

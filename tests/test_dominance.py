@@ -34,6 +34,7 @@ from stripgain import (
     tf_of,
     verify_gain_lmi,
 )
+from stripgain import dominance, stripnorm
 
 
 def siso(A, b, c, d=0.0):
@@ -265,6 +266,41 @@ def test_sector_slope_gain_flags_failing_slope():
         sector_slope_gain(loop, 0, Line(0.0), 1e-6, n_slopes=11)
     assert info.value.slope == pytest.approx(1.2)
     assert info.value.actual == 1
+
+
+def test_sector_slope_gain_needs_two_slopes_on_an_interval():
+    loop = bench_loop()
+    with pytest.raises(InvalidInput, match=r"n_slopes must be >= 2 .*\[0, 1\]"):
+        sector_slope_gain(loop, 2, Line(1.0), 1e-8, n_slopes=1)
+    # a degenerate interval keeps its one slope
+    one = SlopeLoop(loop.linear, 1.0, 1.0)
+    res = sector_slope_gain(one, 2, Line(1.0), 1e-8, n_slopes=1)
+    assert [k for k, _ in res.evaluations] == [1.0]
+    assert res.gamma == pytest.approx(1.0 / 3.0, abs=1e-6)
+
+
+def test_level_searches_make_no_response_call_without_frequencies(monkeypatch):
+    """The settling step of a level search, where no crossing midpoint is
+    left to measure, does not call the evaluator."""
+    sizes = []
+
+    def spy(module):
+        evaluate = module.frequency_response
+
+        def recording(system, lam, omegas):
+            sizes.append(np.size(omegas))
+            return evaluate(system, lam, omegas)
+
+        monkeypatch.setattr(module, "frequency_response", recording)
+
+    spy(dominance)
+    spy(stripnorm)
+    sector_slope_gain(bench_loop(), 2, Line(1.0), 1e-8, n_slopes=11)
+    strip_gain(realize(RationalFunction([1.0], [2.0, 3.0, 1.0])), 0, Strip(0.1, 0.5), 1e-8)
+    # two lines whose members do not all polish and settle in the same rounds
+    L = siso([[-2.0, 1.0], [-1.0, -2.0]], [1.0, 0.0], [0.0, 1.0])
+    dominance._sector_sweeps(SlopeLoop(L, 0.0, 1.0), 0, (Line(0.0), Line(1.2)), 1e-6, 3)
+    assert sizes and min(sizes) > 0
 
 
 def _minus_one():

@@ -1,0 +1,39 @@
+"""tools/envelope_diff.py reports a difference through its exit status."""
+
+import importlib.util
+import os
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "envelope_diff.py")
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("envelope_diff", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+OPS = [("sec5", 1, "example-sec5", ["example-sec5"]), ("tf-small", 1, "f1/norm", ["norm"])]
+SAME = [{"rc": 0, "stdout": '{"value": 1.0}\n', "files": {}}] * 2
+
+
+@pytest.mark.parametrize(
+    "change, status",
+    [
+        (SAME, 0),
+        ([SAME[0], {"rc": 0, "stdout": '{"value": 1.5}\n', "files": {}}], 1),
+        ([SAME[0], {"rc": 2, "stdout": SAME[1]["stdout"], "files": {}}], 1),
+        ([SAME[0], {"rc": 0, "stdout": SAME[1]["stdout"], "files": {"t.csv": "1\n"}}], 1),
+    ],
+    ids=["identical", "number", "exit-code", "out-file"],
+)
+def test_exit_status_says_whether_any_operation_differs(monkeypatch, capsys, change, status):
+    tool = _tool()
+    monkeypatch.setattr(tool, "build_ops", lambda workdir, seeds: OPS)
+    outputs = {"parent": SAME, "change": change}
+    monkeypatch.setattr(tool, "run_checkout", lambda checkout, ops, workdir, tag: outputs[tag])
+    assert tool.main(["parent", "change", "1"]) == status
+    out = capsys.readouterr().out
+    assert "| workload | operation |" in out and "| tf-small | norm | 1 |" in out

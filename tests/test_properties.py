@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from stripgain import (
     EigenvalueInStrip,
+    InvalidInput,
     Line,
     MarginalRate,
     NotPDominant,
@@ -27,6 +28,7 @@ from stripgain import (
     StateSpace,
     StripgainError,
     Strip,
+    decompose_line,
     l2p_gain,
     line_norm_bisection,
     line_norm_grid,
@@ -38,6 +40,7 @@ from stripgain import (
     slope_closed_loop,
     strip_gain,
     strip_norm,
+    tf_of,
     verify_gain_lmi,
 )
 from stripgain import dominance, matkernel
@@ -287,7 +290,8 @@ def _outcome(fn):
 @example(seed=248418, n=4, feedthrough=True, n_slopes=2, p=0)
 def test_sector_sweep_matches_slope_by_slope_searches(seed, n, feedthrough, n_slopes, p):
     """The batched sweep gives every slope the value of its own closed
-    loop's level search, or fails where the slope-by-slope sweep fails."""
+    loop's level search, or fails where the slope-by-slope sweep fails; one
+    slope cannot sample an interval with slope_lo < slope_hi."""
     rng = np.random.default_rng(seed)
     lam = rng.uniform(0.0, 1.0)
     poles = [complex(rng.uniform(-lam + MARGIN, 2.0), 0.0) for _ in range(min(p, n))]
@@ -299,6 +303,10 @@ def test_sector_sweep_matches_slope_by_slope_searches(seed, n, feedthrough, n_sl
     lo, hi = np.sort(rng.uniform(-2.0, 2.0, 2))
     loop = SlopeLoop(ss, lo, hi)
     line, tol = Line(lam), 1e-6
+    if n_slopes == 1 and lo < hi:
+        with pytest.raises(InvalidInput, match="n_slopes must be >= 2"):
+            sector_slope_gain(loop, p, line, tol, n_slopes)
+        return
     slopes = [float(k) for k in np.linspace(lo, hi, n_slopes)]
 
     got, err = _outcome(lambda: sector_slope_gain(loop, p, line, tol, n_slopes))
@@ -530,3 +538,22 @@ def test_h2_line_norm_matches_quadrature_with_one_factorisation(seed, degree):
         integral = mpmath.quad(energy, [-mpmath.inf] + cuts + [mpmath.inf])
         want = mpmath.sqrt(integral / (2 * mpmath.pi))
     assert got == pytest.approx(float(want), rel=1e-9)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_h2_line_norm_and_decompose_line_take_a_state_space(seed, n):
+    """A plain state-space model with poles on both sides of a line has the
+    energy norm of its transfer function (tf_of), to 1e-12 relative, and its
+    line decomposition sums back to it off the line."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.0, 2.0)
+    B, C = rng.standard_normal((n, 1)), rng.standard_normal((1, n))
+    ss = _change_basis(rng, _block_form(_two_sided_poles(rng, n, lam)), B, C, [[0.0]])
+    want = h2_line_norm(tf_of(ss), Line(lam))
+    assert h2_line_norm(ss, Line(lam)) == pytest.approx(want, rel=1e-12, abs=0.0)
+    g_minus, g_plus = decompose_line(ss, Line(lam))
+    s = -lam + rng.uniform(-0.2, 0.2, 4) + 1j * rng.uniform(-3.0, 3.0, 4)
+    G = np.array([(ss.C @ np.linalg.solve(z * np.eye(n) - ss.A, ss.B))[0, 0] for z in s])
+    got = g_minus.eval_unchecked(s) + g_plus.eval_unchecked(s)
+    assert np.allclose(got, G, rtol=1e-9, atol=1e-12)

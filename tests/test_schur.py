@@ -27,7 +27,7 @@ from stripgain import (
     small_gain_check,
     strip_gain,
 )
-from stripgain.regions import _on_band
+from stripgain.regions import TAU_LINE, _on_band
 from stripgain.stripnorm import _hamiltonians, frequency_response
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -253,15 +253,48 @@ def test_on_band_of_a_stack_is_the_rule_row_by_row():
     stack = re + 1j * rng.standard_normal((5, 4))
     stack[2, 1] = -0.5 + 3e-9j
     stack[4, 3] = -0.7 - 1e-9
-    count, near = _on_band(stack, 0.5, 0.7)
+    count, on = _on_band(stack, 0.5, 0.7)
+    assert count.shape == (5,) and on.shape == (5, 4)
     for k, row in enumerate(stack):
-        c, z = _on_band(row, 0.5, 0.7)
+        c, o = _on_band(row, 0.5, 0.7)
         assert count[k] == c == np.count_nonzero(row.real > -0.5)
-        assert (np.isnan(near[k]) and np.isnan(z)) or near[k] == z
-    assert near[2] == stack[2, 1] and near[4] == stack[4, 3]
-    assert np.isnan(near[[0, 1, 3]]).all()
-    count, near = _on_band(np.zeros((3, 0)), 0.0, 0.0)
-    assert count.tolist() == [0, 0, 0] and np.isnan(near).all()
+        assert (on[k] == o).all()
+    assert stack[2][on[2]][0] == stack[2, 1] and stack[4][on[4]][0] == stack[4, 3]
+    assert on.sum(axis=1).tolist() == [0, 0, 1, 0, 1]
+    count, on = _on_band(np.zeros((3, 0)), 0.0, 0.0)
+    assert count.tolist() == [0, 0, 0] and on.shape == (3, 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    lo=st.floats(0.0, 5.0),
+    width=st.sampled_from([0.0, 1e-9, 0.3, 2.0]),
+)
+def test_on_band_flags_what_the_rule_flags_eigenvalue_by_eigenvalue(seed, shape, lo, width):
+    """Eigenvalues placed a half and twice the tolerance inside and outside
+    both band edges, and at random, are flagged exactly as the rule evaluated
+    on each one alone in Python floats."""
+    rng = np.random.default_rng(seed)
+    hi = lo + width
+    edges = np.array([-lo, -hi])
+    edge = edges[rng.integers(0, 2, shape)]
+    offset = rng.choice([-2.0, -0.5, 0.5, 2.0], shape) * TAU_LINE * (1.0 + np.abs(edge))
+    placed = rng.random(shape) < 0.8
+    re = np.where(placed, edge + offset, rng.uniform(-hi - 1.0, 1.0, shape))
+    eigs = re + 1j * rng.standard_normal(shape)
+    count, on = _on_band(eigs, lo, hi)
+    assert np.shape(count) == tuple(shape[:-1]) and on.shape == tuple(shape)
+    for idx in np.ndindex(*shape):
+        r = float(eigs[idx].real)
+        tol = TAU_LINE * (1.0 + abs(r))
+        assert on[idx] == (-hi - tol <= r <= -lo + tol)
+    for idx in np.ndindex(*shape[:-1]):
+        assert count[idx] == sum(float(z.real) > -lo for z in eigs[idx])
+    # a half tolerance inside an edge is on the band, twice outside it is off
+    assert on[placed & (edge == -lo) & (offset == 0.5 * TAU_LINE * (1.0 + lo))].all()
+    assert not on[placed & (edge == -hi) & (offset == -2.0 * TAU_LINE * (1.0 + hi))].any()
 
 
 def test_sector_sweep_counts_every_slope_with_one_call(monkeypatch):

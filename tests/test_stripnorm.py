@@ -215,14 +215,32 @@ def test_h2_line_norm_rejects_biproper():
         h2_line_norm(RationalFunction([1.0, 1.0], [2.0, 1.0]), Line(0.0))
 
 
+def test_h2_line_norm_of_a_state_space():
+    empty = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[0.0]])
+    assert h2_line_norm(empty, Line(0.5)) == 0.0
+    with pytest.raises(DivergentIntegral):
+        h2_line_norm(StateSpace(empty.A, empty.B, empty.C, [[2.0]]), Line(0.5))
+    # the plain matrices of 1/((s-1)(s+3)), without its transfer function
+    G = RationalFunction([1.0], Polynomial((-3.0, 2.0, 1.0)))
+    R = realize(G)
+    ss = StateSpace(R.A, R.B, R.C, R.D)
+    assert h2_line_norm(ss, Line(0.0)) == pytest.approx(math.sqrt(1.0 / 24.0), abs=1e-9)
+    assert h2_line_norm(R, Line(0.0)) == h2_line_norm(G, Line(0.0))
+    with pytest.raises(PoleOnLine):
+        h2_line_norm(ss, Line(3.0))
+
+
 def test_decompose_line_splits_by_side():
     G = RationalFunction([1.0], Polynomial((-3.0, 2.0, 1.0)))
-    g_minus, g_plus = decompose_line(G, Line(1.0))
-    assert np.allclose(g_minus.poles.real, [-3.0], atol=1e-8)
-    assert np.allclose(g_plus.poles.real, [1.0], atol=1e-8)
+    R = realize(G)
     s = -1.0 + 0.8j
-    total = g_minus.eval_unchecked(s) + g_plus.eval_unchecked(s)
-    assert total == pytest.approx(G.eval_unchecked(s), rel=1e-9)
+    # the transfer function, its realization, and the realization's plain matrices
+    for model in (G, R, StateSpace(R.A, R.B, R.C, R.D)):
+        g_minus, g_plus = decompose_line(model, Line(1.0))
+        assert np.allclose(g_minus.poles.real, [-3.0], atol=1e-8)
+        assert np.allclose(g_plus.poles.real, [1.0], atol=1e-8)
+        total = g_minus.eval_unchecked(s) + g_plus.eval_unchecked(s)
+        assert total == pytest.approx(G.eval_unchecked(s), rel=1e-9)
 
 
 def test_frequency_response_data_columns():

@@ -11,7 +11,9 @@ plus any --out file) are compared operation by operation: exit codes, byte
 identity, and the largest relative change of any printed number.  Numbers
 under the certificate fields P, epsilon and lmi_residual are reported apart,
 as are certificates printed by one checkout and null in the other.  The
-report ends with one row per workload and operation kind.
+report ends with one row per workload and operation kind.  The exit status
+is 0 when every operation has the same exit code and byte-identical output,
+1 when any differs.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ def main(argv=None) -> int:
         print("| %s | %s | %d | %d | %d | %.2g | %.2g | %d | %d |"
               % (workload, kind, t["ops"], t["rc_same"], t["bytes_same"], t["rel"],
                  t["cert_rel"], t["cert_lost"], t["cert_gained"]))
-    return 0
+    return int(any(min(t["rc_same"], t["bytes_same"]) < t["ops"] for t in table.values()))
 
 
 if __name__ == "__main__":
