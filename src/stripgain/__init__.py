@@ -65,7 +65,6 @@ from .statespace import (
     weighted_l2_norm,
 )
 from .stripnorm import (
-    HamiltonianMatrix,
     NormResult,
     build_hamiltonian,
     decompose_line,
@@ -120,7 +119,6 @@ __all__ = [
     "EigenvalueInStrip",
     "GainCertificate",
     "GainLmiReport",
-    "HamiltonianMatrix",
     "IllPosed",
     "ImproperTransferFunction",
     "Inertia",

@@ -18,13 +18,13 @@ import numpy as np
 
 from .dominance import (
     SlopeLoop,
+    _count_error,
     _minus_one,
     _sector_sweeps,
     classify_attractors,
     dominance_check,
     l2p_gain,
     feedback_compose,
-    require_dominance,
     small_gain_check,
     strip_gain,
 )
@@ -46,9 +46,9 @@ from .laplace import (
 )
 from .modelio import float_repr, json_text, load_model, sha256_hex
 from .rational import Polynomial, RationalFunction
-from .regions import Line, Strip
+from .regions import Line, Strip, _on_band
 from .statespace import as_state_space, realize, tf_of
-from .stripnorm import _line_norm, frequency_response_data, strip_norm
+from .stripnorm import frequency_response_data, line_norm_bisection, line_norm_grid, strip_norm
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 2
@@ -136,7 +136,10 @@ def cmd_norm(args) -> int:
     system, digest = _model_ss(args.model)
     region = _region_from_args(args, warnings)
     if isinstance(region, Line):
-        res = _line_norm(system, region, args.method, args.tol)
+        if args.method == "grid":
+            res = line_norm_grid(system, region)
+        else:
+            res = line_norm_bisection(system, region, args.tol)
         results = {"mode": "line", "rate": region.lam, "real_part": region.real_part}
         results.update(_norm_result_fields(res))
     else:
@@ -464,29 +467,20 @@ def cmd_example_sec5(args) -> int:
         warnings.append("lag block strip gain unavailable: %s" % exc)
 
     # Direct check: close the loop through the lag and count eigenvalues
-    # right of each rate line.
+    # right of each rate line, all three rates in one count.
     lag_path = RationalFunction([1.0], Polynomial((1.0, args.tau)))
     closed = feedback_compose(realize(L * lag_path), _minus_one())
     eig = closed.poles()
     rates = [strip.lo, 0.5 * (strip.lo + strip.hi), strip.hi]
+    lams = np.array(rates)[:, None]
     counts = []
-    confirmed = True
-    for lam in rates:
-        entry = {"rate": lam}
-        try:
-            require_dominance(closed, 2, lam)
-            entry["right_of_line"] = 2
-            entry["dominant"] = True
-        except NotPDominant as exc:
-            entry["right_of_line"] = exc.actual
-            entry["dominant"] = False
-            confirmed = False
-        except MarginalRate as exc:
-            entry["right_of_line"] = None
-            entry["dominant"] = False
-            confirmed = False
-            warnings.append(str(exc))
-        counts.append(entry)
+    for lam, count, on in zip(rates, *_on_band(eig, lams, lams)):
+        error = _count_error(eig, 2, lam, count, on)
+        if isinstance(error, MarginalRate):
+            warnings.append(str(error))
+        right = None if on.any() else int(count)
+        counts.append({"rate": lam, "right_of_line": right, "dominant": error is None})
+    confirmed = all(entry["dominant"] for entry in counts)
 
     if (
         args.tau == 0.1

@@ -31,11 +31,11 @@ from .regions import Line, Strip, _on_band
 from .statespace import StateSpace, as_state_space, require_siso
 from .stripnorm import (
     _level_search,
+    _line_searches,
     _require_tol,
+    _strip_sup,
     build_hamiltonian,
     frequency_response,
-    line_norm_bisection,
-    strip_norm,
 )
 
 TAU_INERTIA = 1e-8
@@ -86,25 +86,36 @@ def require_dominance(ss: StateSpace, p: int, rate: float) -> None:
     _require_count(ss.poles(), p, rate)
 
 
-def _require_count(poles: np.ndarray, p: int, rate: float) -> None:
-    """require_dominance on a given spectrum."""
-    n = poles.size
+def _require_count(poles: np.ndarray, p: int, rates) -> None:
+    """require_dominance on a spectrum at a rate, or at each of a sequence of
+    rates in order, all counted by one broadcast _on_band call."""
+    lams = np.reshape(rates, (-1, 1))
+    for lam, count, on in zip(lams[:, 0].tolist(), *_on_band(poles, lams, lams)):
+        error = _count_error(poles, p, lam, count, on)
+        if error is not None:
+            raise error
+
+
+def _count_error(eigs: np.ndarray, p: int, rate: float, count: int, on: np.ndarray):
+    """The error require_dominance raises for eigs at the rate, given their
+    _on_band count and mask there; None when they are p-dominant."""
+    n = eigs.size
     if p < 0 or p > n:
-        raise InvalidInput("p must lie in [0, %d], got %d" % (n, p))
+        return InvalidInput("p must lie in [0, %d], got %d" % (n, p))
     if not math.isfinite(rate) or rate < 0:
-        raise InvalidInput("rate must be finite and >= 0")
-    count, on = _on_band(poles, rate, rate)
+        return InvalidInput("rate must be finite and >= 0")
     if on.any():
-        raise MarginalRate(
+        return MarginalRate(
             "eigenvalue %s of the shifted matrix sits on the axis; "
-            "dominance at rate %g is marginal" % (poles[on][0] + rate, rate)
+            "dominance at rate %g is marginal" % (eigs[on][0] + rate, rate)
         )
     if count != p:
-        raise NotPDominant(
+        return NotPDominant(
             "expected %d eigenvalues right of the shifted axis, found %d" % (p, count),
             expected=p,
             actual=int(count),
         )
+    return None
 
 
 def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate:
@@ -125,7 +136,7 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
         return DominanceCertificate(
             P=np.zeros((0, 0)), epsilon=0.0, lmi_residual=0.0, p=0, rate=rate
         )
-    split = matkernel.split_spectrum(ss.schur, -rate, -rate)
+    split = matkernel.split_spectrum(ss.schur, rate, rate)
     if split.p != p:
         raise NumericalFailure(
             "Schur reordering selected %d eigenvalues, expected %d" % (split.p, p)
@@ -258,7 +269,7 @@ def _riccati_certificate(ss: StateSpace, gamma: float, line: Line, tol: float):
     for inflation in (10.0 * tol, 1e-4, 1e-3):
         gamma_build = gamma * (1.0 + inflation)
         try:
-            H0 = build_hamiltonian(ss, gamma_build, line).matrix
+            H0 = build_hamiltonian(ss, gamma_build, line)
         except (InvalidInput, NumericalFailure, ValueError):
             continue
         R = d * d - gamma_build * gamma_build
@@ -320,13 +331,15 @@ def l2p_gain(
 ) -> GainCertificate:
     """Weighted gain of a p-dominant system at one rate.
 
-    Dominance at the rate is checked first; the gain itself equals the
+    Dominance at the rate is checked first (_on_band, whose rates broadcast
+    too, also keeps every pole off the line); the gain itself equals the
     supremum of |G| on the line, computed by the Hamiltonian level iteration.
     """
     ss = as_state_space(system)
     require_siso(ss, "l2p_gain")
-    require_dominance(ss, p, line.lam)
-    res = line_norm_bisection(ss, line, tol)
+    _require_count(ss.poles(), p, line.lam)
+    _require_tol(tol)
+    res = _line_searches(ss, [line], tol)[0]
     return _gain_certificate(ss, p, line, res, tol, with_certificate)
 
 
@@ -339,18 +352,19 @@ def strip_gain(
 ) -> GainCertificate:
     """Worst weighted gain over a rate interval (attained at an endpoint).
 
-    Both endpoint rates must show p-dominance.  That covers the whole
-    interval: the count of poles right of -rate never decreases as the rate
-    grows, so a pole inside the strip already fails the count at the upper
-    edge.  The gain is strip_norm's supremum, with its bracket, boundary
-    values and attaining side (and its interior spot check); a certificate,
-    when asked for, is built on the attaining edge only.
+    Both endpoint rates must show p-dominance, lo first, counted at once
+    (_on_band's rates broadcast too).  That covers the whole interval: the
+    count of poles right of -rate never decreases as the rate grows, so a
+    pole inside the strip already fails the count at the upper edge.  The
+    gain is strip_norm's supremum, with its bracket, boundary values and
+    attaining side (and its interior spot check); a certificate, when asked
+    for, is built on the attaining edge only.
     """
     ss = as_state_space(system)
     require_siso(ss, "strip_gain")
-    require_dominance(ss, p, strip.lo)
-    require_dominance(ss, p, strip.hi)
-    res = strip_norm(ss, strip, tol=tol)
+    _require_count(ss.poles(), p, (strip.lo, strip.hi))
+    _require_tol(tol)
+    res = _strip_sup(ss, strip, "bisection", tol)
     line = strip.lower_line if res.attaining_boundary == "lo" else strip.upper_line
     best = _gain_certificate(ss, p, line, res, tol, with_certificate)
     return replace(best, boundary_gammas=res.boundary_values)
@@ -533,12 +547,11 @@ def _sector_sweeps(loop: SlopeLoop, p: int, lines, tol: float, n_slopes: int):
         slopes = np.linspace(loop.slope_lo, loop.slope_hi, n_slopes)
     A, B, C, D = _slope_family(L, slopes)
     spectra = matkernel.eig(A)
-    for line in lines:
-        count, on = _on_band(spectra, line.lam, line.lam)
+    rates = np.array([line.lam for line in lines])[:, None, None]
+    for line, count, on in zip(lines, *_on_band(spectra, rates, rates)):
         for k in np.flatnonzero(on.any(-1) | (count != p))[:1]:
-            try:
-                _require_count(spectra[k], p, line.lam)
-            except NotPDominant as exc:
+            exc = _count_error(spectra[k], p, line.lam, count[k], on[k])
+            if isinstance(exc, NotPDominant):
                 raise NotPDominantAtSlope(
                     "closed loop at slope %g is not %d-dominant at rate %g (%s)"
                     % (slopes[k], p, line.lam, exc),
@@ -546,10 +559,11 @@ def _sector_sweeps(loop: SlopeLoop, p: int, lines, tol: float, n_slopes: int):
                     expected=p,
                     actual=exc.actual,
                 ) from exc
+            raise exc
         if D.size < slopes.size:
             raise _ill_posed(slopes[D.size])
     K, m = slopes.size, len(lines)
-    lams = np.repeat([line.lam for line in lines], K)
+    lams = np.repeat(rates.ravel(), K)
     A, B, C, D, P, ks = (np.concatenate([X] * m) for X in (A, B, C, D, spectra, slopes))
 
     def response(members, omegas):

@@ -242,11 +242,12 @@ def reorder_schur(S: RealSchur, select) -> tuple[np.ndarray, np.ndarray, np.ndar
     return T, Z, wr + 1j * wi, int(m)
 
 
-def split_spectrum(S, band_lo: float, band_hi: float) -> SchurSplit:
-    """Split a real Schur form about a closed real-part band.
+def split_spectrum(S, lo: float, hi: float) -> SchurSplit:
+    """Split a real Schur form about the closed rate interval [lo, hi], the
+    band -hi <= Re s <= -lo.
 
     S is a RealSchur (a model's cached form) or a matrix, factored here.
-    The p eigenvalues with real part above band_hi are moved to the top
+    The p eigenvalues with real part above -lo are moved to the top
     (reorder_schur) and the diagonal blocks are decoupled by a triangular
     Sylvester solve (LAPACK dtrsyl), so that inv(transform) A transform =
     blkdiag(T11, T22) with T11 p x p.  An eigenvalue of the form on the band,
@@ -255,17 +256,17 @@ def split_spectrum(S, band_lo: float, band_hi: float) -> SchurSplit:
     or a split that misses A by more than its residual bound, raises
     NumericalFailure.
     """
-    if band_lo > band_hi:
-        raise InvalidInput("band_lo must not exceed band_hi")
+    if lo > hi:
+        raise InvalidInput("rate lo must not exceed rate hi")
     S = S if isinstance(S, RealSchur) else real_schur(S)
-    count, on = _on_band(S.w, -band_hi, -band_lo)
+    count, on = _on_band(S.w, lo, hi)
     if on.any():
         raise EigenvalueInStrip(
             "eigenvalue %s lies within tolerance of the band [%g, %g]"
-            % (S.w[on][0], band_lo, band_hi)
+            % (S.w[on][0], -hi, -lo)
         )
     p, n = int(count), S.T.shape[0]
-    T, Z, w, m = reorder_schur(S, np.diag(S.T) > band_hi)
+    T, Z, w, m = reorder_schur(S, np.diag(S.T) > -lo)
     if m != p:
         raise NumericalFailure(
             "Schur reordering selected %d eigenvalues, expected %d" % (m, p)

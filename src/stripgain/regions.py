@@ -21,21 +21,31 @@ from .errors import InvalidInput, PoleInStrip, PoleOnLine
 TAU_LINE = 1e-8
 
 
-def _on_band(eigs, lo: float, hi: float):
+def _on_band(eigs, lo, hi):
     """The one on-line rule, for eigenvalues against the closed rate interval
     [lo, hi] (the band -hi <= Re s <= -lo), on one spectrum or on each row of
     a stack of spectra (..., n): returns (count, on), the count of
     eigenvalues right of Re s = -lo, of shape (...), and the mask, of shape
-    (..., n), of those within TAU_LINE * (1 + |Re|) of the band."""
+    (..., n), of those within TAU_LINE * (1 + |Re|) of the band.  The rates
+    broadcast too: lo and hi of shape (m, 1) give (m,) and (m, n)."""
     re = np.real(eigs)
     tol = TAU_LINE * (1.0 + np.abs(re))
     return (re > -lo).sum(axis=-1), (re >= -hi - tol) & (re <= -lo + tol)
 
 
+def _rates(region: Line | Strip) -> tuple[float, float]:
+    """The closed rate interval (lo, hi) of a line (lo = hi) or a strip."""
+    if isinstance(region, Line):
+        return region.lam, region.lam
+    if isinstance(region, Strip):
+        return region.lo, region.hi
+    raise InvalidInput("expected a Strip or Line, got %r" % (region,))
+
+
 def _pole_guard(poles, region: Line | Strip) -> int:
     """Count the poles right of a line or closed strip, rejecting one on it
     by the rule of _on_band."""
-    lo, hi = (region.lam, region.lam) if isinstance(region, Line) else (region.lo, region.hi)
+    lo, hi = _rates(region)
     count, on = _on_band(poles, lo, hi)
     if on.any():
         if isinstance(region, Line):

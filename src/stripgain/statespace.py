@@ -24,7 +24,7 @@ from .errors import (
     WindowTooShort,
 )
 from .rational import Polynomial, RationalFunction
-from .regions import Line, Strip
+from .regions import Line, Strip, _rates
 
 TAU_TAIL = 1e-6
 
@@ -223,19 +223,11 @@ class ModalSplit:
     p: int
 
 
-def _band_of(region) -> tuple[float, float]:
-    if isinstance(region, Strip):
-        return -region.hi, -region.lo
-    if isinstance(region, Line):
-        return -region.lam, -region.lam
-    raise InvalidInput("expected a Strip or Line, got %r" % (region,))
-
-
 def modal_split(ss: StateSpace, region: Strip | Line) -> ModalSplit:
     """Split a system into subsystems with spectra on either side of a strip,
     read off the system's cached Schur form (matkernel.split_spectrum): B
     and C map through the split's closed-form inverse and its transform."""
-    split = matkernel.split_spectrum(ss.schur, *_band_of(region))
+    split = matkernel.split_spectrum(ss.schur, *_rates(region))
     p, T = split.p, split.transform
     Bt = split.inverse @ ss.B
     Ct = ss.C @ T
@@ -294,42 +286,37 @@ class SampledSignal:
         return self.t0 + self.dt * np.arange(self.values.size)
 
 
+def _step_into(y: np.ndarray, sub: StateSpace, dt: float, vals: np.ndarray) -> None:
+    """Add C x_k to y[k] for k >= 1, x stepped from x_0 = 0 by dt along the
+    samples vals: trapezoidal in the input, exact (expm(A dt)) in the
+    dynamics."""
+    if not sub.n:
+        return
+    E = matkernel.propagator(sub.A, dt)
+    b = sub.B[:, 0]
+    Eb = E @ b
+    x = np.zeros(sub.n)
+    for k in range(1, vals.size):
+        x = E @ x + (0.5 * dt) * (Eb * vals[k - 1] + b * vals[k])
+        y[k] += float(sub.C[0, :] @ x)
+
+
 def convolve(ss: StateSpace, strip: Strip, u: SampledSignal) -> SampledSignal:
     """Response of the system to u on u's own grid.
 
     Trapezoidal-in-the-input, exact-in-the-dynamics stepping: the causal half
     runs forward from the window start, the anticausal half backward from the
-    window end.  The input is taken to vanish outside its window.
+    window end (by steps of -dt along the reversed signal).  The input is
+    taken to vanish outside its window.
     """
     require_siso(ss, "convolve")
     split = modal_split(ss, strip)
     vals = u.values
-    N = vals.size
-    dt = u.dt
-    y = np.zeros(N)
-
-    minus = split.minus
-    if minus.n:
-        E = matkernel.propagator(minus.A, dt)
-        Bm = minus.B[:, 0]
-        EB = E @ Bm
-        x = np.zeros(minus.n)
-        for k in range(1, N):
-            x = E @ x + (0.5 * dt) * (EB * vals[k - 1] + Bm * vals[k])
-            y[k] += float(minus.C[0, :] @ x)
-
-    plus = split.plus
-    if plus.n:
-        Ei = matkernel.propagator(plus.A, -dt)
-        Bp = plus.B[:, 0]
-        EiB = Ei @ Bp
-        z = np.zeros(plus.n)
-        for k in range(N - 2, -1, -1):
-            z = Ei @ z + (0.5 * dt) * (Bp * vals[k] + EiB * vals[k + 1])
-            y[k] -= float(plus.C[0, :] @ z)
-
+    y = np.zeros(vals.size)
+    _step_into(y, split.minus, u.dt, vals)
+    _step_into(y[::-1], split.plus, -u.dt, vals[::-1])
     y += float(ss.D[0, 0]) * vals
-    return SampledSignal(t0=u.t0, dt=dt, values=y)
+    return SampledSignal(t0=u.t0, dt=u.dt, values=y)
 
 
 def weighted_l2_norm(f: SampledSignal, region: Strip | Line) -> float:
@@ -340,12 +327,8 @@ def weighted_l2_norm(f: SampledSignal, region: Strip | Line) -> float:
     endpoints plus INTERIOR_RATES interior rates.  If the weighted integrand
     has not decayed at either window edge the window is too short to trust.
     """
-    if isinstance(region, Line):
-        rates = [region.lam]
-    elif isinstance(region, Strip):
-        rates = [region.lo] + region.interior_rates(INTERIOR_RATES) + [region.hi]
-    else:
-        raise InvalidInput("expected a Strip or Line, got %r" % (region,))
+    lo, hi = _rates(region)
+    rates = [lo] if lo == hi else [lo] + region.interior_rates(INTERIOR_RATES) + [hi]
     t = f.times
     best = 0.0
     for lam in rates:

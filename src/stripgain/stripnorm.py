@@ -154,10 +154,14 @@ def line_norm_grid(system: StateSpace | RationalFunction, line: Line) -> NormRes
     """
     ss = as_state_space(system)
     require_siso(ss, "line_norm_grid")
+    _pole_guard(ss.poles(), line)
+    return _grid_sup(ss, line)
+
+
+def _grid_sup(ss: StateSpace, line: Line) -> NormResult:
+    """line_norm_grid of a SISO system with no pole on the line, unchecked."""
     limit = abs(float(ss.D[0, 0]))
-    poles = ss.poles()
-    _pole_guard(poles, line)
-    omegas = coarse_grid(poles, GRID_POINTS)
+    omegas = coarse_grid(ss.poles(), GRID_POINTS)
     vals = np.abs(frequency_response(ss, line.lam, omegas))
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("magnitude overflow on the frequency grid")
@@ -183,15 +187,6 @@ def line_norm_grid(system: StateSpace | RationalFunction, line: Line) -> NormRes
         best_v = limit
         peak = math.inf
     return NormResult(value=best_v, method="grid", peak_frequency=peak)
-
-
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Level-crossing test matrix for a shifted system at level gamma."""
-
-    matrix: np.ndarray
-    gamma: float
-    rate: float
 
 
 def _near_feedthrough(d, gamma):
@@ -222,8 +217,8 @@ def _hamiltonians(A, B, C, d, lam, gamma) -> np.ndarray:
     return H
 
 
-def build_hamiltonian(ss: StateSpace, gamma: float, line: Line) -> HamiltonianMatrix:
-    """Assemble the Hamiltonian whose imaginary-axis eigenvalues mark the
+def build_hamiltonian(ss: StateSpace, gamma: float, line: Line) -> np.ndarray:
+    """The Hamiltonian (2n x 2n) whose imaginary-axis eigenvalues mark the
     frequencies where |G(-lam + i omega)| crosses the level gamma."""
     require_siso(ss, "build_hamiltonian")
     if ss.n == 0:
@@ -231,7 +226,7 @@ def build_hamiltonian(ss: StateSpace, gamma: float, line: Line) -> HamiltonianMa
     H = _hamiltonians(
         ss.A[None], ss.B[None], ss.C[None], ss.D[0], np.array([line.lam]), np.array([gamma])
     )
-    return HamiltonianMatrix(matrix=H[0], gamma=gamma, rate=line.lam)
+    return H[0]
 
 
 def _require_tol(tol: float) -> None:
@@ -443,18 +438,10 @@ def singular_value_test(
     require_siso(ss, "singular_value_test")
     if not math.isfinite(omega0):
         raise InvalidInput("test frequency must be finite")
-    H = build_hamiltonian(ss, gamma, line).matrix
+    H = build_hamiltonian(ss, gamma, line)
     M = H - 1j * omega0 * np.eye(H.shape[0])
     smin = float(np.linalg.svd(M, compute_uv=False)[-1])
     return smin <= TAU_HAM * max(1.0, float(np.linalg.norm(H)))
-
-
-def _line_norm(system, line: Line, method: str, tol: float) -> NormResult:
-    if method == "grid":
-        return line_norm_grid(system, line)
-    if method == "bisection":
-        return line_norm_bisection(system, line, tol)
-    raise InvalidInput("unknown method %r (expected 'grid' or 'bisection')" % method)
 
 
 def strip_norm(
@@ -472,18 +459,27 @@ def strip_norm(
     sample may exceed the reported value by more than maxmod_slack of it.
     """
     ss = as_state_space(system)
-    poles = ss.poles()
-    _pole_guard(poles, strip)
+    _pole_guard(ss.poles(), strip)  # it covers the edges too
     if method == "bisection":
         require_siso(ss, "line_norm_bisection")
-        _require_tol(tol)  # the strip's guard covers its edges
-        lo_res, hi_res = _line_searches(ss, (strip.lower_line, strip.upper_line), tol)
+        _require_tol(tol)
+    elif method == "grid":
+        require_siso(ss, "line_norm_grid")
     else:
-        lo_res = _line_norm(ss, strip.lower_line, method, tol)
-        hi_res = _line_norm(ss, strip.upper_line, method, tol)
+        raise InvalidInput("unknown method %r (expected 'grid' or 'bisection')" % method)
+    return _strip_sup(ss, strip, method, tol)
+
+
+def _strip_sup(ss: StateSpace, strip: Strip, method: str, tol: float) -> NormResult:
+    """strip_norm of a SISO system with no pole on the closed strip, unchecked."""
+    edges = (strip.lower_line, strip.upper_line)
+    if method == "grid":
+        lo_res, hi_res = (_grid_sup(ss, line) for line in edges)
+    else:
+        lo_res, hi_res = _line_searches(ss, edges, tol)
     value = max(lo_res.value, hi_res.value)
     rates = strip.interior_rates(5)
-    mags = np.abs(frequency_response(ss, np.array(rates)[:, None], coarse_grid(poles, 64)))
+    mags = np.abs(frequency_response(ss, np.array(rates)[:, None], coarse_grid(ss.poles(), 64)))
     for lam, worst in zip(rates, mags.max(axis=1)):
         if worst > value + maxmod_slack(value):
             raise NumericalFailure(
@@ -510,7 +506,7 @@ def h2_line_norm(G: StateSpace | RationalFunction, line: Line) -> float:
         raise DivergentIntegral("line energy norm diverges unless strictly proper")
     require_siso(ss, "h2_line_norm")
     _pole_guard(ss.poles(), line)
-    split = matkernel.split_spectrum(ss.schur, -line.lam, -line.lam)
+    split = matkernel.split_spectrum(ss.schur, line.lam, line.lam)
     p, n = split.p, ss.n
     T, w = split.T + line.lam * np.eye(n), split.w + line.lam
     Bt = split.inverse @ ss.B

@@ -285,6 +285,42 @@ def test_example_sec5_runs_one_sweep_and_one_lag_search(capsys, monkeypatch):
     assert counts["eig"] <= 5 and counts["unique_in_search"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["example-sec5"], 3),
+        (["gain", "{unstable}", "--p", "1", "--strip", "0.5,1.5"], 1),
+        (["gain", "{unstable}", "--p", "1", "--line", "0.5"], 1),
+        (["norm", "{first_order}", "--strip", "0,0.5", "--method", "grid"], 1),
+        (["smallgain", "{unstable}", "{one}", "--p1", "1", "--p2", "0", "--strip", "0.5,1.5"], 6),
+    ],
+    ids=["example-sec5", "gain-strip", "gain-line", "norm-strip-grid", "smallgain"],
+)
+def test_each_request_asks_the_on_line_rule_once_per_spectrum(
+    capsys, monkeypatch, tmp_path, unstable, first_order, argv, calls
+):
+    """A gain counts dominance at all its rates at once and searches without
+    asking again; a strip norm's guard covers its edges; example-sec5 counts
+    its sweep, its lag block and its direct check once each; a conclusive
+    small-gain test adds a count and a Schur split per closed-loop edge."""
+    from stripgain import dominance, matkernel, regions
+
+    one = {"kind": "ss", "A": [], "B": [], "C": [[]], "D": [[1.0]]}
+    one = write_model(tmp_path / "one.json", one)
+    paths = {"unstable": unstable, "first_order": first_order, "one": one}
+    seen, on_band = [], regions._on_band
+
+    def counting(*args):
+        seen.append(args)
+        return on_band(*args)
+
+    for module in (regions, dominance, matkernel, cli):
+        if hasattr(module, "_on_band"):
+            monkeypatch.setattr(module, "_on_band", counting)
+    code, _ = run(capsys, [a.format(**paths) for a in argv])
+    assert code == 0 and len(seen) == calls
+
+
 def random_stable_ss(seed, n):
     """Stable SISO model in a random basis of condition number at most 4:
     poles with Re in [-4, -0.6] and |Im| up to 4, Gaussian B and C."""

@@ -16,18 +16,23 @@ def _tool():
 
 
 OPS = [("sec5", 1, "example-sec5", ["example-sec5"]), ("tf-small", 1, "f1/norm", ["norm"])]
-SAME = [{"rc": 0, "stdout": '{"value": 1.0}\n', "files": {}}] * 2
+SAME = [{"rc": 0, "stdout": '{"value": 1.0}\n', "files": {}, "stderr": ""}] * 2
+
+
+def _changed(**fields):
+    return [SAME[0], dict(SAME[1], **fields)]
 
 
 @pytest.mark.parametrize(
     "change, status",
     [
         (SAME, 0),
-        ([SAME[0], {"rc": 0, "stdout": '{"value": 1.5}\n', "files": {}}], 1),
-        ([SAME[0], {"rc": 2, "stdout": SAME[1]["stdout"], "files": {}}], 1),
-        ([SAME[0], {"rc": 0, "stdout": SAME[1]["stdout"], "files": {"t.csv": "1\n"}}], 1),
+        (_changed(stdout='{"value": 1.5}\n'), 1),
+        (_changed(rc=2), 1),
+        (_changed(files={"t.csv": "1\n"}), 1),
+        (_changed(stderr="error: rate must be finite and >= 0\n"), 1),
     ],
-    ids=["identical", "number", "exit-code", "out-file"],
+    ids=["identical", "number", "exit-code", "out-file", "stderr"],
 )
 def test_exit_status_says_whether_any_operation_differs(monkeypatch, capsys, change, status):
     tool = _tool()

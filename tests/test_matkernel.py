@@ -68,7 +68,7 @@ def test_propagator_matches_series():
 
 def test_split_spectrum_separates_sides():
     A = np.diag([2.0, -3.0, 0.5, -1.0]) + np.triu(np.ones((4, 4)), 1)
-    split = matkernel.split_spectrum(A, -0.2, -0.2)
+    split = matkernel.split_spectrum(A, 0.2, 0.2)
     p, T = split.p, split.transform
     assert p == 2
     assert np.all(np.linalg.eigvals(split.T[:p, :p]).real > -0.2)
@@ -82,8 +82,11 @@ def test_split_spectrum_separates_sides():
 
 def test_split_spectrum_rejects_eigenvalue_in_band():
     A = np.diag([-1.0, -5.0])
-    with pytest.raises(EigenvalueInStrip):
-        matkernel.split_spectrum(A, -2.0, -0.5)
+    # the rate interval [0.5, 2] is the band -2 <= Re s <= -0.5
+    with pytest.raises(EigenvalueInStrip, match=r"band \[-2, -0.5\]"):
+        matkernel.split_spectrum(A, 0.5, 2.0)
+    with pytest.raises(InvalidInput):
+        matkernel.split_spectrum(A, 2.0, 0.5)
 
 
 def test_split_spectrum_seeded_similarity():
@@ -96,7 +99,7 @@ def test_split_spectrum_seeded_similarity():
         c = float(rng.uniform(-1.5, 1.5))
         if np.min(np.abs(w.real - c)) < 0.1:
             continue
-        split = matkernel.split_spectrum(A, c, c)
+        split = matkernel.split_spectrum(A, -c, -c)
         p, T = split.p, split.transform
         assert p == int(np.count_nonzero(w.real > c))
         block = sla.block_diag(split.T[:p, :p], split.T[p:, p:])
@@ -108,7 +111,7 @@ def test_split_spectrum_seeded_similarity():
 def test_split_spectrum_with_the_whole_spectrum_on_one_side(cut, p):
     A = np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 1.0], [0.0, 0.0, 0.5]])
     S = matkernel.real_schur(A)
-    split = matkernel.split_spectrum(S, cut, cut)
+    split = matkernel.split_spectrum(S, -cut, -cut)  # the line Re s = cut
     assert split.p == p and split.X.shape == (p, 3 - p)
     # nothing to reorder or decouple: the split is the form itself
     assert np.array_equal(split.T, S.T) and np.array_equal(split.transform, S.Z)

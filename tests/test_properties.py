@@ -22,6 +22,7 @@ from stripgain import (
     MarginalRate,
     NotPDominant,
     NotPDominantAtSlope,
+    PoleInStrip,
     PoleOnLine,
     RationalFunction,
     SlopeLoop,
@@ -44,7 +45,8 @@ from stripgain import (
     verify_gain_lmi,
 )
 from stripgain import dominance, matkernel
-from stripgain.dominance import _gain_matrix, _sector_sweeps
+from stripgain.dominance import _gain_matrix, _require_count, _sector_sweeps
+from stripgain.regions import TAU_LINE, _pole_guard
 from stripgain.stripnorm import (
     _crossing_rows,
     _grid_rows,
@@ -557,3 +559,142 @@ def test_h2_line_norm_and_decompose_line_take_a_state_space(seed, n):
     G = np.array([(ss.C @ np.linalg.solve(z * np.eye(n) - ss.A, ss.B))[0, 0] for z in s])
     got = g_minus.eval_unchecked(s) + g_plus.eval_unchecked(s)
     assert np.allclose(got, G, rtol=1e-9, atol=1e-12)
+
+
+def _placed_poles(rng, n, lo, hi):
+    """n poles (conjugate pairs allowed) whose real parts sit on an edge of
+    the rate band [lo, hi], a half or twice TAU_LINE (relative) either side
+    of one, strictly inside it, or at least MARGIN outside it."""
+    out = []
+    while len(out) < n:
+        edge = -lo if rng.random() < 0.5 else -hi
+        near = rng.choice([-2.0, -0.5, 0.5, 2.0]) * TAU_LINE * (1.0 + abs(edge))
+        right = rng.random() < 0.5
+        outside = rng.uniform(-lo + MARGIN, 2.0) if right else -hi - rng.uniform(MARGIN, 3.0)
+        kind = rng.choice(4, p=[0.15, 0.3, 0.1, 0.45])
+        re = [edge, edge + near, rng.uniform(-hi, -lo), outside][kind]
+        if n - len(out) >= 2 and rng.random() < 0.5:
+            im = rng.uniform(0.1, 4.0)
+            out += [complex(re, im), complex(re, -im)]
+        else:
+            out.append(complex(re, 0.0))
+    return out
+
+
+def _raised(fn):
+    """fn()'s result, or the type and message of the StripgainError it raised."""
+    res, exc = _outcome(fn)
+    return res if exc is None else (type(exc), str(exc))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    lo=st.sampled_from([0.0, 0.3, 1.0]),
+    width=st.sampled_from([1e-3, 0.5, 2.0]),
+)
+def test_gains_and_strip_norms_guard_once_as_their_public_compositions(seed, n, lo, width):
+    """l2p_gain and strip_gain count dominance once and search without a
+    guard of their own; strip_norm guards the closed strip and measures its
+    edges without re-checking them.  Each raises what the public
+    composition it replaces raises, or returns what it returns: a gain is
+    require_dominance at each edge, then the public norm verb; a grid strip
+    norm is the strip's guard, then line_norm_grid at each edge.  The strip's
+    guard passes exactly when both edges count the same poles, none marginal,
+    and a bisection strip norm is then the strip gain at that count."""
+    rng = np.random.default_rng(seed)
+    hi = lo + width
+    A = _block_form(_placed_poles(rng, n, lo, hi))
+    ss = StateSpace(A, rng.standard_normal((n, 1)), rng.standard_normal((1, n)), [[0.0]])
+    strip, edges = Strip(lo, hi), (Line(lo), Line(hi))
+    counts = [sum(float(z.real) > -lam for z in ss.poles()) for lam in (lo, hi)]
+    tol = 1e-6
+
+    for p in sorted(set(counts)):
+        def l2p_composition():
+            require_dominance(ss, p, lo)
+            return line_norm_bisection(ss, edges[0], tol)
+
+        got, want = _raised(lambda: l2p_gain(ss, p, edges[0], tol)), _raised(l2p_composition)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert (got.gamma, got.bracket, got.rate) == (want.value, want.bracket, lo)
+
+        def strip_composition():
+            require_dominance(ss, p, lo)
+            require_dominance(ss, p, hi)
+            return strip_norm(ss, strip, tol=tol)
+
+        got, want = _raised(lambda: strip_gain(ss, p, strip, tol)), _raised(strip_composition)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert (got.gamma, got.bracket) == (want.value, want.bracket)
+            assert got.boundary_gammas == want.boundary_values
+            assert got.rate == (lo if want.attaining_boundary == "lo" else hi)
+
+    def grid_composition():
+        _pole_guard(ss.poles(), strip)
+        return [line_norm_grid(ss, line) for line in edges]
+
+    got, want = _raised(lambda: strip_norm(ss, strip, method="grid")), _raised(grid_composition)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.boundary_values == (want[0].value, want[1].value)
+        best = want[0] if want[0].value >= want[1].value else want[1]
+        assert (got.value, got.peak_frequency) == (best.value, best.peak_frequency)
+        assert got.method == "grid"
+
+    def dominant():
+        require_dominance(ss, counts[0], lo)
+        require_dominance(ss, counts[0], hi)
+
+    got = _raised(lambda: strip_norm(ss, strip, tol=tol))
+    if _raised(dominant) is None:
+        gain = _raised(lambda: strip_gain(ss, counts[0], strip, tol))
+        if isinstance(gain, tuple):
+            assert got == gain
+        else:
+            assert (got.value, got.bracket) == (gain.gamma, gain.bracket)
+            assert got.boundary_values == gain.boundary_gammas
+    else:
+        assert got == _raised(lambda: _pole_guard(ss.poles(), strip))
+        assert got[0] is PoleInStrip
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 5),
+    shift=st.sampled_from([-1, 0, 0, 1]),
+    rates=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=4),
+    bad=st.sampled_from([None, None, -1.0, math.inf, math.nan]),
+    at=st.integers(0, 4),
+)
+def test_one_count_for_many_rates_raises_what_one_count_per_rate_raises(
+    seed, n, shift, rates, bad, at
+):
+    """_require_count at a sequence of rates (one _on_band call) raises the
+    error of the first rate that fails alone, with its message, or nothing.
+    Eigenvalues sit on the rate lines, within TAU_LINE of them, or 0.5 or
+    1.5 away; p is the count at the first rate, or one off it."""
+    rng = np.random.default_rng(seed)
+    edge = -np.array(rates)[rng.integers(0, len(rates), n)]
+    near = rng.choice([0.0, -0.5, 0.5, -2.0, 2.0], n) * TAU_LINE
+    re = edge + np.where(rng.random(n) < 0.25, near, rng.choice([-1.5, -0.5, 0.5, 1.5], n))
+    poles = np.sort_complex(re + 1j * rng.choice([0.0, 1.0], n) * rng.uniform(0.1, 2.0, n))
+    p = int(np.count_nonzero(poles.real > -rates[0])) + shift
+    if bad is not None:
+        rates = rates[:at] + [bad] + rates[at:]
+
+    def one_per_rate():
+        for rate in rates:
+            _require_count(poles, p, rate)
+
+    assert _raised(lambda: _require_count(poles, p, rates)) == _raised(one_per_rate)
+    with mock.patch.object(dominance, "_on_band", wraps=dominance._on_band) as on_band:
+        _raised(lambda: _require_count(poles, p, rates))
+    assert on_band.call_count == 1

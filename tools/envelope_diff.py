@@ -6,9 +6,11 @@ PARENT and CHANGE are checkout roots (each with src/stripgain).  For every
 workload and seed, the operations and model files come from this checkout's
 benchmark/inputs.py (imported, never edited), written once to a temporary
 directory.  Each checkout then runs every operation through its own
-``stripgain.cli.main`` in a subprocess of its own, and the outputs (stdout
-plus any --out file) are compared operation by operation: exit codes, byte
-identity, and the largest relative change of any printed number.  Numbers
+``stripgain.cli.main`` in a subprocess of its own, and the outputs (stdout,
+any --out file, and the ``error: ...`` lines main writes to stderr; Python
+warning lines name source files and line numbers, so they are left out) are
+compared operation by operation: exit codes, byte identity, and the largest
+relative change of any printed number.  Numbers
 under the certificate fields P, epsilon and lmi_residual are reported apart,
 as are certificates printed by one checkout and null in the other.  The
 report ends with one row per workload and operation kind.  The exit status
@@ -34,8 +36,9 @@ DIGEST = re.compile(r"[0-9a-f]{64}")
 
 # Runs in a fresh interpreter: argv = [src, ops.json, out.json].
 RUNNER = r"""
-import contextlib, io, json, os, sys
+import contextlib, io, json, os, re, sys
 src, ops_path, out_path = sys.argv[1:]
+error_line = re.compile(r"(?:stripgain[^:]*: )?error: ")
 sys.path.insert(0, src)
 from stripgain import cli
 if not os.path.abspath(cli.__file__).startswith(os.path.abspath(src) + os.sep):
@@ -44,8 +47,8 @@ with open(ops_path, encoding="utf-8") as fh:
     ops = json.load(fh)
 results = []
 for name, argv in ops:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli.main(argv)
         except SystemExit as exc:
@@ -59,7 +62,9 @@ for name, argv in ops:
             with open(path, encoding="utf-8") as fh:
                 files[path] = fh.read()
             os.remove(path)
-    results.append({"name": name, "rc": rc, "stdout": out.getvalue(), "files": files})
+    errors = "".join(x for x in err.getvalue().splitlines(True) if error_line.match(x))
+    results.append({"name": name, "rc": rc, "stdout": out.getvalue(), "files": files,
+                    "stderr": errors})
 with open(out_path, "w", encoding="utf-8") as fh:
     json.dump(results, fh)
 """
@@ -145,6 +150,7 @@ def scan(output: dict) -> Scan:
     walked, everything else split into numbers and the text between them."""
     out = Scan()
     texts = [output["stdout"]] + [output["files"][k] for k in sorted(output["files"])]
+    texts.append(output["stderr"])
     for text in texts:
         if text.startswith("{"):
             try:
@@ -179,7 +185,7 @@ def _numbers_rel(a: Scan, b: Scan) -> tuple[float, float]:
 
 
 def compare(old: dict, new: dict) -> dict:
-    same_bytes = old["stdout"] == new["stdout"] and old["files"] == new["files"]
+    same_bytes = all(old[k] == new[k] for k in ("stdout", "files", "stderr"))
     row = {"rc_same": old["rc"] == new["rc"], "bytes_same": same_bytes,
            "rel": 0.0, "cert_rel": 0.0, "cert_lost": 0, "cert_gained": 0}
     if same_bytes:
