@@ -81,6 +81,7 @@ from .dominance import (
     GainCertificate,
     GainLmiReport,
     Inertia,
+    RobustDominanceReport,
     SectorGainResult,
     SlopeLoop,
     SmallGainReport,
@@ -90,6 +91,7 @@ from .dominance import (
     inertia,
     l2p_gain,
     require_dominance,
+    robust_dominance,
     sector_slope_gain,
     slope_closed_loop,
     small_gain_check,
@@ -139,6 +141,7 @@ __all__ = [
     "Polynomial",
     "ROC",
     "RationalFunction",
+    "RobustDominanceReport",
     "SampledSignal",
     "SectorGainResult",
     "SignalSpec",
@@ -174,6 +177,7 @@ __all__ = [
     "realize",
     "recombine",
     "require_dominance",
+    "robust_dominance",
     "roc_options",
     "sector_slope_gain",
     "singular_value_test",

@@ -17,14 +17,10 @@ import sys
 import numpy as np
 
 from .dominance import (
-    SlopeLoop,
-    _count_error,
-    _minus_one,
-    _sector_sweeps,
     classify_attractors,
     dominance_check,
     l2p_gain,
-    feedback_compose,
+    robust_dominance,
     small_gain_check,
     strip_gain,
 )
@@ -45,9 +41,8 @@ from .laplace import (
     roc_options,
 )
 from .modelio import float_repr, json_text, load_model, sha256_hex
-from .rational import Polynomial, RationalFunction
-from .regions import Line, Strip, _on_band
-from .statespace import as_state_space, realize, tf_of
+from .regions import Line, Strip
+from .statespace import as_state_space, tf_of
 from .stripnorm import frequency_response_data, line_norm_bisection, line_norm_grid, strip_norm
 
 EXIT_OK = 0
@@ -422,72 +417,21 @@ def cmd_laplace_invert(args) -> int:
 def cmd_example_sec5(args) -> int:
     warnings: list[str] = []
     notes: list[str] = []
-    if not (args.tau >= 0 and math.isfinite(args.tau)):
-        raise InvalidInput("--tau must be finite and >= 0")
-    if not (args.d > 0 and math.isfinite(args.d)):
-        raise InvalidInput("--d must be finite and > 0")
-    if not math.isfinite(args.ki) or args.ki == 0:
-        raise InvalidInput("--ki must be finite and nonzero")
     lo, hi = _parse_pair(args.strip, "--strip")
     strip = Strip(lo, hi)
-    tol = args.tol
+    report = robust_dominance(args.tau, args.d, args.ki, strip, args.tol, args.slopes)
+    lo_sector, hi_sector = report.sector_lo, report.sector_hi
+    gamma_loop, lag, product = max(lo_sector.gamma, hi_sector.gamma), report.lag, report.product
+    if lag is None:
+        warnings.append("lag block strip gain unavailable: %s" % report.lag_error)
+    elif product >= 1.0:
+        warnings.append(
+            "small-gain product %s is not below one; the sector bound "
+            "alone does not certify robustness" % float_repr(product)
+        )
+    warnings += [str(error) for _, _, error in report.counts if isinstance(error, MarginalRate)]
 
-    # Integral-controlled double integrator: loop transfer from the
-    # nonlinearity output back to its input is L = -ki / (s^2 (s + d)).
-    L = RationalFunction(
-        Polynomial((-args.ki,)), Polynomial((0.0, 0.0, args.d, 1.0))
-    )
-    loop = SlopeLoop(realize(L), 0.0, 1.0)
-
-    edges = (strip.lower_line, strip.upper_line)
-    sector_lo, sector_hi = _sector_sweeps(loop, 2, edges, tol, args.slopes)
-    gamma_loop = max(sector_lo.gamma, sector_hi.gamma)
-    slope_one_lo = sector_lo.evaluations[-1][1]
-    slope_one_hi = sector_hi.evaluations[-1][1]
-
-    # Input lag tau: multiplicative perturbation Delta = -tau s / (1 + tau s),
-    # which RationalFunction reduces to the zero function at tau = 0.
-    delta = RationalFunction(Polynomial((0.0, -args.tau)), Polynomial((1.0, args.tau)))
-    lag_results = None
-    small_gain = None
-    try:
-        lag_cert = strip_gain(delta, 0, strip, tol)
-        lag_results = {
-            "gamma": lag_cert.gamma,
-            "boundary_gammas": list(lag_cert.boundary_gammas),
-        }
-        product = lag_cert.gamma * gamma_loop
-        small_gain = {"product": product, "satisfied": bool(product < 1.0)}
-        if product >= 1.0:
-            warnings.append(
-                "small-gain product %s is not below one; the sector bound "
-                "alone does not certify robustness" % float_repr(product)
-            )
-    except StripgainError as exc:
-        warnings.append("lag block strip gain unavailable: %s" % exc)
-
-    # Direct check: close the loop through the lag and count eigenvalues
-    # right of each rate line, all three rates in one count.
-    lag_path = RationalFunction([1.0], Polynomial((1.0, args.tau)))
-    closed = feedback_compose(realize(L * lag_path), _minus_one())
-    eig = closed.poles()
-    rates = [strip.lo, 0.5 * (strip.lo + strip.hi), strip.hi]
-    lams = np.array(rates)[:, None]
-    counts = []
-    for lam, count, on in zip(rates, *_on_band(eig, lams, lams)):
-        error = _count_error(eig, 2, lam, count, on)
-        if isinstance(error, MarginalRate):
-            warnings.append(str(error))
-        right = None if on.any() else int(count)
-        counts.append({"rate": lam, "right_of_line": right, "dominant": error is None})
-    confirmed = all(entry["dominant"] for entry in counts)
-
-    if (
-        args.tau == 0.1
-        and args.d == 5.0
-        and args.ki == -1.0
-        and (strip.lo, strip.hi) == SEC5_STRIP
-    ):
+    if (args.tau, args.d, args.ki, (strip.lo, strip.hi)) == (0.1, 5.0, -1.0, SEC5_STRIP):
         notes.append(
             "recorded benchmark values for this configuration: lag norms "
             "%s / %s at the strip edges, loop gains %s / %s, margin %s; "
@@ -502,33 +446,33 @@ def cmd_example_sec5(args) -> int:
             "ki": args.ki,
             "strip": [strip.lo, strip.hi],
             "slopes": args.slopes,
-            "tol": tol,
+            "tol": args.tol,
         },
         "loop_gain": {
             "gamma": gamma_loop,
-            "boundary_gammas": [sector_lo.gamma, sector_hi.gamma],
-            "slope_at_max": (
-                sector_lo.slope_at_max
-                if sector_lo.gamma >= sector_hi.gamma
-                else sector_hi.slope_at_max
-            ),
-            "slope_one_gains": [slope_one_lo, slope_one_hi],
+            "boundary_gammas": [lo_sector.gamma, hi_sector.gamma],
+            "slope_at_max": max(lo_sector, hi_sector, key=lambda r: r.gamma).slope_at_max,
+            "slope_one_gains": [lo_sector.evaluations[-1][1], hi_sector.evaluations[-1][1]],
         },
-        "lag_gain": lag_results,
-        "small_gain": small_gain,
+        "lag_gain": None if lag is None else {
+            "gamma": lag.gamma, "boundary_gammas": list(lag.boundary_gammas)
+        },
+        "small_gain": None if lag is None else {"product": product, "satisfied": product < 1.0},
         "margin": (1.0 / gamma_loop) if gamma_loop > 0 else None,
         "closed_loop": {
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in eig],
-            "counts": counts,
+            "eigenvalues": [[float(z.real), float(z.imag)] for z in report.poles],
+            "counts": [
+                {"rate": lam, "right_of_line": right, "dominant": error is None}
+                for lam, right, error in report.counts
+            ],
         },
-        "verdict": "CONFIRMED" if confirmed else "NOT CONFIRMED",
+        "verdict": "CONFIRMED" if report.confirmed else "NOT CONFIRMED",
     }
 
     if args.out:
-        ret = -L
         omegas = np.concatenate([[0.0], np.logspace(-2.0, 2.0, 199)])
-        radius = lag_results["gamma"] if lag_results else 0.0
-        data = frequency_response_data(ret, strip.lower_line, omegas, uncertainty=radius)
+        radius = 0.0 if lag is None else lag.gamma
+        data = frequency_response_data(-report.loop, strip.lower_line, omegas, radius)
         sha = _write_text(args.out, _csv_lines(NYQUIST_HEADER, data))
         min_margin = _min_critical_margin(data)
         results["nyquist"] = {
@@ -541,7 +485,7 @@ def cmd_example_sec5(args) -> int:
 
     _emit(_envelope("example-sec5", [], results, warnings, notes))
     sys.stdout.write("robust 2-dominance: %s\n" % results["verdict"])
-    return EXIT_OK if confirmed else EXIT_ANALYSIS
+    return EXIT_OK if report.confirmed else EXIT_ANALYSIS
 
 
 def build_parser() -> _Parser:

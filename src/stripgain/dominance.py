@@ -25,10 +25,11 @@ from .errors import (
     NotPDominant,
     NotPDominantAtSlope,
     NumericalFailure,
+    StripgainError,
 )
-from .rational import RationalFunction
+from .rational import Polynomial, RationalFunction
 from .regions import Line, Strip, _on_band
-from .statespace import StateSpace, as_state_space, require_siso
+from .statespace import StateSpace, as_state_space, realize, require_siso
 from .stripnorm import (
     _level_search,
     _line_searches,
@@ -489,10 +490,6 @@ class SlopeLoop:
             raise InvalidInput("slope interval is empty")
 
 
-def _minus_one() -> StateSpace:
-    return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-1.0]])
-
-
 def _slope_family(L: StateSpace, slopes: np.ndarray):
     """Closed loops of L through each slope k, stacked on a leading axis:
     with d = 1 - k D, (A + (k/d) B C, B/d, k C/d, k D/d).  The stack stops
@@ -607,3 +604,66 @@ def sector_slope_gain(
     (Horner's rule for a realized tf).
     """
     return _sector_sweeps(loop, p, [line], tol, n_slopes)[0]
+
+
+@dataclass(frozen=True)
+class RobustDominanceReport:
+    """robust_dominance's findings: L, its sector gains on the strip's edges,
+    the lag's strip gain or (None and) the text of its error, the eigenvalues
+    of the loop closed through the lag, and per rate lo, (lo + hi) / 2, hi a
+    (rate, count, error): the eigenvalues right of the rate line, None when
+    one sits on it, and require_dominance's error for p = 2, None if none."""
+
+    loop: RationalFunction
+    sector_lo: SectorGainResult
+    sector_hi: SectorGainResult
+    lag: GainCertificate | None
+    lag_error: str | None
+    poles: np.ndarray
+    counts: tuple[tuple[float, int | None, StripgainError | None], ...]
+
+    @property
+    def product(self) -> float | None:
+        """Lag gain times sector gain (the worse edge's), None without the lag's."""
+        gamma = max(self.sector_lo.gamma, self.sector_hi.gamma)
+        return None if self.lag is None else self.lag.gamma * gamma
+
+    @property
+    def confirmed(self) -> bool:
+        """Whether the closed loop is 2-dominant at all three rates."""
+        return all(error is None for _, _, error in self.counts)
+
+
+def robust_dominance(
+    tau: float, d: float, ki: float, strip: Strip, tol: float = 1e-6, n_slopes: int = 11
+) -> RobustDominanceReport:
+    """Robust 2-dominance on a strip of the paper's section 5 example: the
+    loop L = -ki / (s^2 (s + d)) through a nonlinearity of slope in [0, 1]
+    (both edges swept as one batch), the input lag's multiplicative
+    perturbation Delta = -tau s / (1 + tau s) (zero at tau = 0), and, as the
+    direct check, L closed at slope one through the lag 1 / (1 + tau s)."""
+    if not (tau >= 0 and math.isfinite(tau)):
+        raise InvalidInput("--tau must be finite and >= 0")
+    if not (d > 0 and math.isfinite(d)):
+        raise InvalidInput("--d must be finite and > 0")
+    if not math.isfinite(ki) or ki == 0:
+        raise InvalidInput("--ki must be finite and nonzero")
+    L = RationalFunction(Polynomial((-ki,)), Polynomial((0.0, 0.0, d, 1.0)))
+    edges = (strip.lower_line, strip.upper_line)
+    sector = _sector_sweeps(SlopeLoop(realize(L), 0.0, 1.0), 2, edges, tol, n_slopes)
+    delta = RationalFunction(Polynomial((0.0, -tau)), Polynomial((1.0, tau)))
+    lag, lag_error = None, None
+    try:
+        lag = strip_gain(delta, 0, strip, tol)
+    except StripgainError as exc:
+        lag_error = str(exc)
+    minus_one = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-1.0]])
+    lag_path = RationalFunction([1.0], Polynomial((1.0, tau)))
+    poles = feedback_compose(realize(L * lag_path), minus_one).poles()
+    rates = [strip.lo, 0.5 * (strip.lo + strip.hi), strip.hi]
+    lams = np.array(rates)[:, None]
+    counts = tuple(
+        (lam, None if on.any() else int(count), _count_error(poles, 2, lam, count, on))
+        for lam, count, on in zip(rates, *_on_band(poles, lams, lams))
+    )
+    return RobustDominanceReport(L, *sector, lag, lag_error, poles, counts)

@@ -188,12 +188,6 @@ class RationalFunction:
         roots.setflags(write=False)
         return roots
 
-    @cached_property
-    def zeros(self) -> np.ndarray:
-        if self.is_zero or self.num.degree == 0:
-            return np.zeros(0, dtype=complex)
-        return poly_roots(self.num)
-
     def eval_unchecked(self, s):
         """Evaluate num(s) / den(s), vectorized, with no check of the distance to a pole."""
         return self.num(s) / self.den(s)

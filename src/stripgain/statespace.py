@@ -34,9 +34,13 @@ INTERIOR_RATES = 9
 
 
 def _as_2d(x, rows, cols, name):
+    """x as a finite 2-D float array of shape (rows, cols); None leaves that
+    dimension free."""
     M = np.asarray(x, dtype=float)
     if M.ndim != 2:
         raise InvalidInput("%s must be 2-D, got ndim %d" % (name, M.ndim))
+    rows = M.shape[0] if rows is None else rows
+    cols = M.shape[1] if cols is None else cols
     if M.shape != (rows, cols):
         raise InvalidInput(
             "%s must have shape (%d, %d), got %r" % (name, rows, cols, M.shape)
@@ -47,36 +51,17 @@ def _as_2d(x, rows, cols, name):
 
 
 class StateSpace:
-    """Linear time-invariant system dx = Ax + Bu, y = Cx + Du; _tf is the
-    transfer function of a realization (realize), None for any other."""
+    """Linear time-invariant system dx = Ax + Bu, y = Cx + Du, every matrix
+    2-D; _tf is the transfer function of a realization (realize), None for
+    any other."""
 
     def __init__(self, A, B, C, D):
         self._tf: RationalFunction | None = None
-        A = np.asarray(A, dtype=float)
-        if A.size == 0:
-            A = A.reshape(0, 0)
         self.A = matkernel.as_square_matrix(A)
         n = self.A.shape[0]
-        B = np.asarray(B, dtype=float)
-        if B.ndim == 1:
-            B = B.reshape(n, 1) if B.size == n else B.reshape(n, -1)
-        if B.size == 0:
-            B = B.reshape(0, max(1, B.shape[1] if B.ndim == 2 else 1))
-        m = B.shape[1]
-        self.B = _as_2d(B, n, m, "B")
-        C = np.asarray(C, dtype=float)
-        if C.ndim == 1:
-            C = C.reshape(1, n) if C.size == n else C.reshape(-1, n)
-        if C.size == 0:
-            C = C.reshape(max(1, C.shape[0] if C.ndim == 2 else 1), 0)
-        q = C.shape[0]
-        self.C = _as_2d(C, q, n, "C")
-        D = np.asarray(D, dtype=float)
-        if D.ndim == 0:
-            D = D.reshape(1, 1)
-        elif D.ndim == 1:
-            D = D.reshape(q, m)
-        self.D = _as_2d(D, q, m, "D")
+        self.B = _as_2d(B, n, None, "B")
+        self.C = _as_2d(C, None, n, "C")
+        self.D = _as_2d(D, self.C.shape[0], self.B.shape[1], "D")
         for M in (self.A, self.B, self.C, self.D):
             M.setflags(write=False)
 

@@ -199,22 +199,32 @@ def _hamiltonians(A, B, C, d, lam, gamma) -> np.ndarray:
     """Stack of Hamiltonians [[F, -(gamma/R) B B'], [(gamma/R) C'C, -F']]
     with R = d^2 - gamma^2 and F = A + lam I - (d/R) B C, one per member of
     A (K, n, n), B (K, n, 1), C (K, 1, n), d (K,), lam (K,) and gamma (K,).
-    A level within the _near_feedthrough guard of |d| raises InvalidInput."""
-    near = _near_feedthrough(d, gamma)
-    if near.any():
-        k = int(near.argmax())
-        raise InvalidInput(
-            "level %g is too close to the feedthrough magnitude %g" % (gamma[k], abs(d[k]))
-        )
+    A level whose R or H overflows raises NumericalFailure; one within the
+    _near_feedthrough guard of |d| InvalidInput (after R's check)."""
     n = A.shape[-1]
-    R = d * d - gamma * gamma
-    F = A + lam[:, None, None] * np.eye(n) - (d / R)[:, None, None] * (B @ C)
     H = np.empty((d.size, 2 * n, 2 * n))
-    H[:, :n, :n] = F
-    H[:, :n, n:] = -(gamma / R)[:, None, None] * (B @ B.transpose(0, 2, 1))
-    H[:, n:, :n] = (gamma / R)[:, None, None] * (C.transpose(0, 2, 1) @ C)
-    H[:, n:, n:] = -F.transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = d * d - gamma * gamma
+        _require_finite(np.isfinite(R), gamma)
+        near = _near_feedthrough(d, gamma)
+        if near.any():
+            k = int(near.argmax())
+            raise InvalidInput(
+                "level %g is too close to the feedthrough magnitude %g" % (gamma[k], abs(d[k]))
+            )
+        F = A + lam[:, None, None] * np.eye(n) - (d / R)[:, None, None] * (B @ C)
+        H[:, :n, :n] = F
+        H[:, :n, n:] = -(gamma / R)[:, None, None] * (B @ B.transpose(0, 2, 1))
+        H[:, n:, :n] = (gamma / R)[:, None, None] * (C.transpose(0, 2, 1) @ C)
+        H[:, n:, n:] = -F.transpose(0, 2, 1)
+    _require_finite(np.isfinite(H).all(axis=(1, 2)), gamma)
     return H
+
+
+def _require_finite(finite, gamma) -> None:
+    """NumericalFailure naming the first level gamma[k] with finite[k] False."""
+    if not finite.all():
+        raise NumericalFailure("the level test at %g overflows" % gamma[int(finite.argmin())])
 
 
 def build_hamiltonian(ss: StateSpace, gamma: float, line: Line) -> np.ndarray:

@@ -1,10 +1,13 @@
+import ast
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from stripgain import RationalFunction, cli, realize, verify_gain_lmi
+from stripgain import RationalFunction, Strip, cli, realize, robust_dominance, verify_gain_lmi
 from stripgain.cli import main
 from stripgain.modelio import float_repr
 
@@ -242,6 +245,72 @@ def test_example_sec5_rejects_a_single_slope(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "n_slopes must be >= 2 to sample the slope interval [0, 1]" in captured.err
+
+
+@pytest.mark.parametrize("argv", [[], ["--tau", "10"]], ids=["default", "tau-10"])
+def test_robust_dominance_is_what_example_sec5_prints(capsys, argv):
+    """The library call and the verb agree bit for bit: the sector gains,
+    the lag block's gain or warning, the product, the counts, the
+    eigenvalues and the verdict (at tau = 10 the lag block is not
+    0-dominant on the strip, so its gain is a warning)."""
+    code, out = run(capsys, ["example-sec5"] + argv)
+    env = json.loads(out[: out.rindex("robust")])
+    res = env["results"]
+    report = robust_dominance(float(argv[1]) if argv else 0.1, 5.0, -1.0, Strip(1.0, 2.0))
+    lo, hi = report.sector_lo, report.sector_hi
+    assert res["loop_gain"]["boundary_gammas"] == [lo.gamma, hi.gamma]
+    assert res["loop_gain"]["slope_one_gains"] == [lo.evaluations[-1][1], hi.evaluations[-1][1]]
+    if argv:
+        assert report.lag is None and res["lag_gain"] is None and res["small_gain"] is None
+        assert env["warnings"] == ["lag block strip gain unavailable: %s" % report.lag_error]
+    else:
+        lag = {"gamma": report.lag.gamma, "boundary_gammas": list(report.lag.boundary_gammas)}
+        assert res["lag_gain"] == lag and res["small_gain"]["product"] == report.product
+    assert res["closed_loop"]["eigenvalues"] == [[z.real, z.imag] for z in report.poles]
+    counts = [(c["rate"], c["right_of_line"], c["dominant"]) for c in res["closed_loop"]["counts"]]
+    assert counts == [(rate, count, error is None) for rate, count, error in report.counts]
+    assert report.confirmed is not argv and code == (2 if argv else 0)
+    assert res["verdict"] == ("NOT CONFIRMED" if argv else "CONFIRMED")
+
+
+def test_cli_imports_no_private_name():
+    """The CLI formats public library calls only."""
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "stripgain")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "{peak}", "--line", "0"],
+        ["gain", "{peak}", "--p", "0", "--line", "0"],
+        ["example-sec5", "--ki", "1e300"],
+    ],
+    ids=["norm", "gain", "example-sec5"],
+)
+def test_an_overflowing_level_test_is_a_numerical_failure(capsys, tmp_path, argv):
+    """gamma^2 of a peak near 1e201 (norm, gain), or C'C of a loop gain of
+    1e300 (example-sec5), overflows the Hamiltonian: an analysis failure
+    naming the level, with no numpy warning on the way."""
+    peak = write_model(tmp_path / "peak.json", {"kind": "tf", "num": [1e200], "den": [1.0, 0.1, 1.0]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([peak if a == "{peak}" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and caught == []
+    assert json.loads(captured.out)["error"]["type"] == "NumericalFailure"
+    assert re.fullmatch(r"error: the level test at \S+ overflows\n", captured.err)
+    if argv[0] == "norm":  # the grid estimate needs no level test
+        code, env = run_json(capsys, ["norm", peak, "--line", "0", "--method", "grid"])
+        assert code == 0 and 1e200 < env["results"]["value"] < math.inf
 
 
 def test_example_sec5_runs_one_sweep_and_one_lag_search(capsys, monkeypatch):

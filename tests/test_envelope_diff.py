@@ -1,7 +1,9 @@
-"""tools/envelope_diff.py reports a difference through its exit status."""
+"""tools/envelope_diff.py reports a difference through its exit status, and
+its error-path operations reach both error codes."""
 
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -42,3 +44,13 @@ def test_exit_status_says_whether_any_operation_differs(monkeypatch, capsys, cha
     assert tool.main(["parent", "change", "1"]) == status
     out = capsys.readouterr().out
     assert "| workload | operation |" in out and "| tf-small | norm | 1 |" in out
+
+
+def test_error_paths_reach_both_error_codes_and_capture_each_error_line(tmp_path):
+    tool = _tool()
+    ops = tool.error_ops(str(tmp_path))
+    outputs = tool.run_checkout(tool.ROOT, ops, str(tmp_path), "change")
+    assert {out["rc"] for out in outputs} == {2, 3}
+    for (workload, _, name, _), out in zip(ops, outputs):
+        assert workload == "errors" and tool.kind_of(workload, name) == "error paths"
+        assert re.fullmatch(r"error: [^\n]+\n", out["stderr"]), name

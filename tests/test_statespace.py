@@ -37,6 +37,13 @@ def test_realize_dimensions_and_poles():
     assert ss.poles() is ss.poles() and not ss.poles().flags.writeable
 
 
+def test_state_space_takes_2d_arrays_only():
+    with pytest.raises(InvalidInput, match="B must be 2-D, got ndim 1"):
+        StateSpace([[-1.0]], [1.0], [[1.0]], [[0.0]])
+    with pytest.raises(InvalidInput, match="D must be 2-D, got ndim 0"):
+        StateSpace([[-1.0]], [[1.0]], [[1.0]], 0.0)
+
+
 def test_realize_rejects_improper():
     with pytest.raises(ImproperTransferFunction):
         realize(RationalFunction([0.0, 0.0, 1.0], [1.0, 1.0]))

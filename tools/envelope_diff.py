@@ -5,17 +5,19 @@
 PARENT and CHANGE are checkout roots (each with src/stripgain).  For every
 workload and seed, the operations and model files come from this checkout's
 benchmark/inputs.py (imported, never edited), written once to a temporary
-directory.  Each checkout then runs every operation through its own
-``stripgain.cli.main`` in a subprocess of its own, and the outputs (stdout,
-any --out file, and the ``error: ...`` lines main writes to stderr; Python
-warning lines name source files and line numbers, so they are left out) are
-compared operation by operation: exit codes, byte identity, and the largest
-relative change of any printed number.  Numbers
-under the certificate fields P, epsilon and lmi_residual are reported apart,
-as are certificates printed by one checkout and null in the other.  The
-report ends with one row per workload and operation kind.  The exit status
-is 0 when every operation has the same exit code and byte-identical output,
-1 when any differs.
+directory.  A fixed set of error-path operations (ERROR_OPS, on the model
+files in ERROR_MODELS), which no benchmark operation reaches, runs too and
+is reported as the workload "errors".  Each checkout then runs every
+operation through its own ``stripgain.cli.main`` in a subprocess of its
+own, and the outputs (stdout, any --out file, and the ``error: ...`` lines
+main writes to stderr; Python warning lines name source files and line
+numbers, so they are left out) are compared operation by operation: exit
+codes, byte identity, and the largest relative change of any printed
+number.  Numbers under the certificate fields P, epsilon and lmi_residual
+are reported apart, as are certificates printed by one checkout and null
+in the other.  The report ends with one row per workload and operation
+kind.  The exit status is 0 when every operation has the same exit code
+and byte-identical output, 1 when any differs.
 """
 
 from __future__ import annotations
@@ -70,8 +72,54 @@ with open(out_path, "w", encoding="utf-8") as fh:
 """
 
 
+# Model files of the error-path operations, written as given (a str verbatim).
+ERROR_MODELS = {
+    "truncated": '{"kind": "tf", "num": [1.0',
+    "first-order": {"kind": "tf", "num": [1.0], "den": [1.0, 1.0]},
+    "improper": {"kind": "tf", "num": [0.0, 0.0, 1.0], "den": [1.0, 1.0]},
+    "feedthrough": {"kind": "tf", "num": [16.0, 13.5, 3.25], "den": [21.0, 8.7, 1.0]},
+    "peak": {"kind": "tf", "num": [1e200], "den": [1.0, 0.1, 1.0]},
+}
+# (name, argv) of each: example-sec5's input errors, a malformed model file,
+# one operation per typed analysis error the CLI prints, and two level tests
+# whose Hamiltonian overflows; "{model}" is the path of ERROR_MODELS[model].
+ERROR_OPS = [
+    ("example-sec5 --tau -1", ["example-sec5", "--tau", "-1"]),
+    ("example-sec5 --d 0", ["example-sec5", "--d", "0"]),
+    ("example-sec5 --ki 0", ["example-sec5", "--ki", "0"]),
+    ("example-sec5 --slopes 1", ["example-sec5", "--slopes", "1"]),
+    ("example-sec5 --strip 1,1", ["example-sec5", "--strip", "1,1"]),
+    ("malformed model file", ["norm", "{truncated}", "--line", "0"]),
+    ("PoleOnLine", ["norm", "{first-order}", "--line", "1"]),
+    ("PoleInStrip", ["norm", "{first-order}", "--strip", "0.5,1.5"]),
+    ("NotPDominant", ["dominance", "{first-order}", "--p", "1", "--rate", "0"]),
+    ("NotPDominantAtSlope", ["example-sec5", "--d", "1e-300"]),
+    ("MarginalRate", ["example-sec5", "--strip", "0,1"]),
+    ("NumericalFailure", ["norm", "{feedthrough}", "--line", "0.5", "--tol", "1e-12"]),
+    ("ImproperTransferFunction", ["norm", "{improper}", "--line", "0"]),
+    ("NoCommonROC", ["laplace", "forward",
+                     '{"terms": [{"side": "causal", "a": 1}, {"side": "anticausal", "a": -1}]}']),
+    ("PoleInROC", ["laplace", "invert", "{first-order}", "--roc=-2,0"]),
+    ("overflow: norm --line 0", ["norm", "{peak}", "--line", "0"]),
+    ("overflow: gain --p 0 --line 0", ["gain", "{peak}", "--p", "0", "--line", "0"]),
+    ("overflow: example-sec5 --ki 1e300", ["example-sec5", "--ki", "1e300"]),
+]
+
+
+def error_ops(workdir: str):
+    """(workload, seed, op name, argv) of every error-path operation, its
+    model files written under workdir."""
+    paths = {}
+    for model, content in ERROR_MODELS.items():
+        path = paths["{%s}" % model] = os.path.join(workdir, "error-%s.json" % model)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content if isinstance(content, str) else json.dumps(content))
+    return [("errors", 0, name, [paths.get(a, a) for a in argv]) for name, argv in ERROR_OPS]
+
+
 def build_ops(workdir: str, seeds):
-    """(workload, seed, op name, argv) of every benchmark operation."""
+    """(workload, seed, op name, argv) of every benchmark operation, then
+    the error-path operations."""
     sys.path.insert(0, os.path.join(ROOT, "benchmark"))
     import inputs
 
@@ -81,7 +129,7 @@ def build_ops(workdir: str, seeds):
             root = os.path.join(workdir, "%s-seed%d" % (workload, seed))
             _, round_ops = inputs.build(workload, seed, root)
             ops += [(workload, seed, op.name, list(op.argv)) for op in round_ops]
-    return ops
+    return ops + error_ops(workdir)
 
 
 def run_checkout(checkout: str, ops, workdir: str, tag: str):
@@ -205,7 +253,9 @@ def compare(old: dict, new: dict) -> dict:
     return row
 
 
-def kind_of(name: str) -> str:
+def kind_of(workload: str, name: str) -> str:
+    if workload == "errors":
+        return "error paths"
     return name.split("/", 1)[1] if "/" in name else "example-sec5"
 
 
@@ -227,7 +277,7 @@ def main(argv=None) -> int:
                   % (workload, seed, name, a["rc"], b["rc"], row["rel"], row["cert_rel"],
                      "  CERTIFICATE LOST" if row["cert_lost"] else "",
                      "  certificate built" if row["cert_gained"] else ""))
-        t = table[(workload, kind_of(name))]
+        t = table[(workload, kind_of(workload, name))]
         t["ops"] += 1
         for key in ("rc_same", "bytes_same", "cert_lost", "cert_gained"):
             t[key] += row[key]
