@@ -27,7 +27,6 @@ else:
 
 from .errors import (
     DivergentIntegral,
-    EigenvalueInStrip,
     IllPosed,
     ImproperTransferFunction,
     InvalidInput,
@@ -118,7 +117,6 @@ __all__ = [
     "CAUSAL",
     "DivergentIntegral",
     "DominanceCertificate",
-    "EigenvalueInStrip",
     "GainCertificate",
     "GainLmiReport",
     "IllPosed",

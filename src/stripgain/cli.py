@@ -364,18 +364,6 @@ def _parse_signal(text: str) -> SignalSpec:
     return SignalSpec(tuple(terms))
 
 
-def _roc_bounds(text: str) -> ROC:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InvalidInput("--roc must be 'LO,HI' (inf/-inf allowed), got %r" % text)
-    try:
-        lo = float(parts[0])
-        hi = float(parts[1])
-    except ValueError as exc:
-        raise InvalidInput("--roc bounds must be numeric, got %r" % text) from exc
-    return ROC(lo, hi)
-
-
 def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
@@ -395,7 +383,7 @@ def cmd_laplace_forward(args) -> int:
 def cmd_laplace_invert(args) -> int:
     kind, system, digest = load_model(args.model)
     G = tf_of(system) if kind == "ss" else system
-    roc = _roc_bounds(args.roc)
+    roc = ROC(*_parse_pair(args.roc, "--roc"))
     spec = inverse(G, roc)
     results = {
         "terms": [

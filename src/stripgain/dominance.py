@@ -124,12 +124,13 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
 
     After the eigenvalue count of require_dominance, the system's cached
     real Schur form is split at the rate line (matkernel.split_spectrum,
-    which must count the same p), and P is assembled from Lyapunov solutions
-    on the two diagonal blocks, mapped back by the split's closed-form
-    inverse: no factorisation beyond the one per system.  A residual
-    A'P + PA + 2 rate P below -n u ||.||_F (the symmetric eigensolver's
-    error) fixes P's signature at (p, 0, n - p) by the inertia theorem of
-    Ostrowski and Schneider (1962), so P's inertia is not measured again.
+    whose reordering must select the same p), and P is assembled from
+    Lyapunov solutions on the two diagonal blocks, mapped back by the
+    split's closed-form inverse: no factorisation beyond the one per
+    system.  A residual A'P + PA + 2 rate P below -n u ||.||_F (the
+    symmetric eigensolver's error) fixes P's signature at (p, 0, n - p) by
+    the inertia theorem of Ostrowski and Schneider (1962), so P's inertia
+    is not measured again.
     """
     require_dominance(ss, p, rate)
     n = ss.n
@@ -137,11 +138,7 @@ def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate
         return DominanceCertificate(
             P=np.zeros((0, 0)), epsilon=0.0, lmi_residual=0.0, p=0, rate=rate
         )
-    split = matkernel.split_spectrum(ss.schur, rate, rate)
-    if split.p != p:
-        raise NumericalFailure(
-            "Schur reordering selected %d eigenvalues, expected %d" % (split.p, p)
-        )
+    split = matkernel.split_spectrum(ss.schur, rate, p)
     T, w, Si = split.T + rate * np.eye(n), split.w + rate, split.inverse
     P = np.zeros((n, n))
     if p:

@@ -25,10 +25,6 @@ class PoleOnLine(StripgainError):
     """A pole lies on (or numerically on) the evaluation line."""
 
 
-class EigenvalueInStrip(StripgainError):
-    """The state matrix has an eigenvalue inside the splitting band."""
-
-
 class ImproperTransferFunction(StripgainError):
     """Numerator degree exceeds what the operation supports."""
 

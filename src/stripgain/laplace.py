@@ -29,12 +29,11 @@ from .rational import (
     partial_fractions,
     recombine,
 )
-from .regions import Strip
+from .regions import Strip, _on_band
 
 CAUSAL = "causal"
 ANTICAUSAL = "anticausal"
 
-TAU_POLE_REAL = 1e-9
 TAU_IMAG = 1e-8
 
 
@@ -156,29 +155,31 @@ def forward(spec: SignalSpec) -> LaplacePair:
 def roc_options(F: RationalFunction) -> tuple[ROC, ...]:
     """All maximal pole-free vertical bands of F, left to right.
 
-    Pole real parts closer than a small relative tolerance are merged; a
-    pole-free F yields the whole plane.
+    The poles are those partial_fractions expands on (and inverse
+    classifies).  A real part on the line of the one before it, by the rule
+    of regions._on_band, lies on the same line, so a band runs from the
+    largest real part of one line to the smallest of the next; a pole-free
+    F yields the whole plane.
     """
     if not isinstance(F, RationalFunction):
         raise InvalidInput("roc_options expects a RationalFunction")
-    reals: list[float] = []
-    for p in sorted(F.poles, key=lambda z: z.real):
-        r = float(p.real)
-        if not reals or abs(r - reals[-1]) > TAU_POLE_REAL * (1.0 + abs(r)):
-            reals.append(r)
-    if not reals:
+    re = np.unique([t.pole.real for t in partial_fractions(F)[1]])
+    if not re.size:
         return (ROC(-math.inf, math.inf),)
-    edges = [-math.inf] + reals + [math.inf]
-    return tuple(ROC(edges[i], edges[i + 1]) for i in range(len(edges) - 1))
+    new_line = ~_on_band(re[1:], -re[:-1], -re[:-1])[1]
+    los = [-math.inf, *re[np.r_[new_line, True]].tolist()]
+    his = [*re[np.r_[True, new_line]].tolist(), math.inf]
+    return tuple(ROC(lo, hi) for lo, hi in zip(los, his))
 
 
 def inverse(F: RationalFunction, roc: ROC) -> SignalSpec:
     """Invert a strictly proper transform on a chosen band.
 
-    A pole left of the band contributes a causal term, a pole right of it an
-    anticausal term with negated coefficient; a pole strictly inside the open
-    band raises PoleInROC.  Non-strictly-proper inputs would need impulsive
-    terms and are rejected.
+    A pole on or left of the band's left edge contributes a causal term, a
+    pole on or right of its right edge an anticausal term with negated
+    coefficient, "on" by the rule of regions._on_band (a pole on both edges
+    of a narrow band is causal); a pole inside the band raises PoleInROC.
+    Non-strictly-proper inputs would need impulsive terms and are rejected.
     """
     if not isinstance(F, RationalFunction):
         raise InvalidInput("inverse expects a RationalFunction")
@@ -192,18 +193,18 @@ def inverse(F: RationalFunction, roc: ROC) -> SignalSpec:
             "signals; remove the polynomial part first"
         )
     _, terms = partial_fractions(F)
+    re = np.array([t.pole.real for t in terms])
+    # the rate intervals [-re_lo, inf] and [-inf, -re_hi] are the closed
+    # half planes Re s <= re_lo and Re s >= re_hi
+    left = _on_band(re, -roc.re_lo, math.inf)[1].tolist()
+    right = _on_band(re, -math.inf, -roc.re_hi)[1].tolist()
     out: list[SignalTerm] = []
-    for term in terms:
-        re = float(term.pole.real)
-        tol = TAU_POLE_REAL * (1.0 + abs(re))
-        inside_lo = re > roc.re_lo + tol if math.isfinite(roc.re_lo) else True
-        inside_hi = re < roc.re_hi - tol if math.isfinite(roc.re_hi) else True
-        if inside_lo and inside_hi:
+    for term, causal, anticausal in zip(terms, left, right):
+        if not (causal or anticausal):
             raise PoleInROC(
                 "pole %s lies inside the band Re(s) in (%g, %g)"
                 % (term.pole, roc.re_lo, roc.re_hi)
             )
-        causal = math.isfinite(roc.re_lo) and re <= roc.re_lo + tol
         c = term.coefficient / math.factorial(term.order - 1)
         if not causal:
             c = -c

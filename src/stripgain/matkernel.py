@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (
-    EigenvalueInStrip,
-    InvalidInput,
-    NumericalFailure,
-    SingularSylvester,
-)
-from .regions import _on_band
+from .errors import InvalidInput, NumericalFailure, SingularSylvester
 
 TAU_SYM = 1e-12
 TAU_LYAP = 1e-9
@@ -242,31 +236,22 @@ def reorder_schur(S: RealSchur, select) -> tuple[np.ndarray, np.ndarray, np.ndar
     return T, Z, wr + 1j * wi, int(m)
 
 
-def split_spectrum(S, lo: float, hi: float) -> SchurSplit:
-    """Split a real Schur form about the closed rate interval [lo, hi], the
-    band -hi <= Re s <= -lo.
+def split_spectrum(S, lam: float, p: int) -> SchurSplit:
+    """Split a real Schur form at the line Re s = -lam, right of which the
+    caller has counted p eigenvalues.
 
     S is a RealSchur (a model's cached form) or a matrix, factored here.
-    The p eigenvalues with real part above -lo are moved to the top
-    (reorder_schur) and the diagonal blocks are decoupled by a triangular
-    Sylvester solve (LAPACK dtrsyl), so that inv(transform) A transform =
-    blkdiag(T11, T22) with T11 p x p.  An eigenvalue of the form on the band,
-    by the rule of regions._on_band, makes the split meaningless and raises
-    EigenvalueInStrip; a reordering that selects other than p eigenvalues,
-    or a split that misses A by more than its residual bound, raises
-    NumericalFailure.
+    The eigenvalues of the form with real part above -lam are moved to the
+    top (reorder_schur) and the diagonal blocks are decoupled by a
+    triangular Sylvester solve (LAPACK dtrsyl), so that inv(transform) A
+    transform = blkdiag(T11, T22) with T11 p x p.  Whether an eigenvalue
+    sits on the line is the caller's verdict, not the split's: a reordering
+    that selects other than p eigenvalues, or a split that misses A by more
+    than its residual bound, raises NumericalFailure.
     """
-    if lo > hi:
-        raise InvalidInput("rate lo must not exceed rate hi")
     S = S if isinstance(S, RealSchur) else real_schur(S)
-    count, on = _on_band(S.w, lo, hi)
-    if on.any():
-        raise EigenvalueInStrip(
-            "eigenvalue %s lies within tolerance of the band [%g, %g]"
-            % (S.w[on][0], -hi, -lo)
-        )
-    p, n = int(count), S.T.shape[0]
-    T, Z, w, m = reorder_schur(S, np.diag(S.T) > -lo)
+    n = S.T.shape[0]
+    T, Z, w, m = reorder_schur(S, np.diag(S.T) > -lam)
     if m != p:
         raise NumericalFailure(
             "Schur reordering selected %d eigenvalues, expected %d" % (m, p)

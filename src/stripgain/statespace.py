@@ -24,7 +24,7 @@ from .errors import (
     WindowTooShort,
 )
 from .rational import Polynomial, RationalFunction
-from .regions import Line, Strip, _rates
+from .regions import Line, Strip, _pole_guard, _rates
 
 TAU_TAIL = 1e-6
 
@@ -210,10 +210,13 @@ class ModalSplit:
 
 def modal_split(ss: StateSpace, region: Strip | Line) -> ModalSplit:
     """Split a system into subsystems with spectra on either side of a strip,
-    read off the system's cached Schur form (matkernel.split_spectrum): B
-    and C map through the split's closed-form inverse and its transform."""
-    split = matkernel.split_spectrum(ss.schur, *_rates(region))
-    p, T = split.p, split.transform
+    read off the system's cached Schur form (matkernel.split_spectrum) at
+    the region's smaller rate: B and C map through the split's closed-form
+    inverse and its transform.  A pole on the line or in the closed strip
+    raises PoleOnLine or PoleInStrip (regions._pole_guard)."""
+    p = _pole_guard(ss.poles(), region)
+    split = matkernel.split_spectrum(ss.schur, _rates(region)[0], p)
+    T = split.transform
     Bt = split.inverse @ ss.B
     Ct = ss.C @ T
     zero_d = np.zeros((ss.n_outputs, ss.n_inputs))

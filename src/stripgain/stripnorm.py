@@ -190,9 +190,10 @@ def _grid_sup(ss: StateSpace, line: Line) -> NormResult:
 
 
 def _near_feedthrough(d, gamma):
-    """Whether the level gamma lies within 1e-12 (relative) of |d|, where
-    R = d^2 - gamma^2 in the Hamiltonian loses its precision (elementwise)."""
-    return np.abs(d * d - gamma * gamma) <= 1e-12 * np.maximum(1.0, gamma * gamma)
+    """Whether the level gamma lies within 1e-12 (relative to the larger of
+    d^2 and gamma^2) of |d|, where R = d^2 - gamma^2 in the Hamiltonian loses
+    its precision (elementwise)."""
+    return np.abs(d * d - gamma * gamma) <= 1e-12 * np.maximum(d * d, gamma * gamma)
 
 
 def _hamiltonians(A, B, C, d, lam, gamma) -> np.ndarray:
@@ -515,9 +516,8 @@ def h2_line_norm(G: StateSpace | RationalFunction, line: Line) -> float:
     if ss is None or ss.D.any():
         raise DivergentIntegral("line energy norm diverges unless strictly proper")
     require_siso(ss, "h2_line_norm")
-    _pole_guard(ss.poles(), line)
-    split = matkernel.split_spectrum(ss.schur, line.lam, line.lam)
-    p, n = split.p, ss.n
+    p, n = _pole_guard(ss.poles(), line), ss.n
+    split = matkernel.split_spectrum(ss.schur, line.lam, p)
     T, w = split.T + line.lam * np.eye(n), split.w + line.lam
     Bt = split.inverse @ ss.B
     Ct = ss.C @ split.transform
@@ -538,15 +538,16 @@ def decompose_line(G: StateSpace | RationalFunction, line: Line):
 
     Returns (g_minus, g_plus): g_minus collects the partial-fraction terms
     whose poles lie left of the line, g_plus those right of it; they sum back
-    to G.  A state-space model is split as its transfer function (its
-    realized one, or tf_of).
+    to G.  The line is guarded on the poles of the expansion (clustered and
+    conjugate-paired, as laplace.inverse classifies them).  A state-space
+    model is split as its transfer function (its realized one, or tf_of).
     """
     if isinstance(G, StateSpace):
         G = G._tf if G._tf is not None else tf_of(G)
     if not G.is_strictly_proper:
         raise ImproperTransferFunction("line decomposition needs a strictly proper G")
-    _pole_guard(G.poles, line)
     _, terms = partial_fractions(G)
+    _pole_guard(np.array([t.pole for t in terms]), line)
     mterms = [t for t in terms if t.pole.real < -line.lam]
     pterms = [t for t in terms if t.pole.real > -line.lam]
     zero = Polynomial((0.0,))

@@ -175,6 +175,24 @@ def test_laplace_invert_verb(capsys, tmp_path):
     sides = {t["side"] for t in env["results"]["terms"]}
     assert sides == {"causal", "anticausal"}
     assert len(env["results"]["roc_options"]) == 3
+    # --roc is one pair of numbers, either of which may be infinite
+    code, env = run_json(capsys, ["laplace", "invert", model, "--roc=-inf,-3"])
+    assert code == 0 and env["results"]["roc"] == ["-inf", -3]
+    for roc in ("1", "a,b"):
+        assert main(["laplace", "invert", model, "--roc", roc]) == 3
+        assert capsys.readouterr().err.startswith("error: --roc must be")
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "1e-12"])
+def test_level_search_resolves_a_gain_below_the_feedthrough_band(capsys, tmp_path, tol):
+    # sup |G| = |G(0)| = 1e-9 with D = 0: the feedthrough band is relative
+    # to max(d^2, gamma^2), so no level above 0 falls inside it
+    tiny = write_model(tmp_path / "tiny.json", {"kind": "tf", "num": [1e-9], "den": [1.0, 1.0]})
+    for argv, key in ((["norm"], "value"), (["gain", "--p", "0"], "gamma")):
+        code, env = run_json(capsys, [argv[0], tiny, *argv[1:], "--line", "0", "--tol", tol])
+        assert code == 0
+        lo, hi = env["results"]["bracket"]
+        assert lo == pytest.approx(1e-9, rel=1e-12) and lo <= env["results"][key] <= hi
 
 
 def test_missing_model_exits_3(capsys, tmp_path):
@@ -361,17 +379,19 @@ def test_example_sec5_runs_one_sweep_and_one_lag_search(capsys, monkeypatch):
         (["gain", "{unstable}", "--p", "1", "--strip", "0.5,1.5"], 1),
         (["gain", "{unstable}", "--p", "1", "--line", "0.5"], 1),
         (["norm", "{first_order}", "--strip", "0,0.5", "--method", "grid"], 1),
-        (["smallgain", "{unstable}", "{one}", "--p1", "1", "--p2", "0", "--strip", "0.5,1.5"], 6),
+        (["dominance", "{unstable}", "--p", "1", "--rate", "0.5"], 1),
+        (["smallgain", "{unstable}", "{one}", "--p1", "1", "--p2", "0", "--strip", "0.5,1.5"], 4),
     ],
-    ids=["example-sec5", "gain-strip", "gain-line", "norm-strip-grid", "smallgain"],
+    ids=["example-sec5", "gain-strip", "gain-line", "norm-strip-grid", "dominance", "smallgain"],
 )
 def test_each_request_asks_the_on_line_rule_once_per_spectrum(
     capsys, monkeypatch, tmp_path, unstable, first_order, argv, calls
 ):
     """A gain counts dominance at all its rates at once and searches without
     asking again; a strip norm's guard covers its edges; example-sec5 counts
-    its sweep, its lag block and its direct check once each; a conclusive
-    small-gain test adds a count and a Schur split per closed-loop edge."""
+    its sweep, its lag block and its direct check once each; a dominance
+    certificate's Schur split splits at the count; a conclusive small-gain
+    test adds one count per closed-loop edge."""
     from stripgain import dominance, matkernel, regions
 
     one = {"kind": "ss", "A": [], "B": [], "C": [[]], "D": [[1.0]]}

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stripgain import (
     InvalidInput,
+    Line,
     NoCommonROC,
     NumericalFailure,
     PoleInROC,
@@ -14,12 +17,15 @@ from stripgain import (
     SignalSpec,
     SignalTerm,
     Strip,
+    PoleOnLine,
     Unsupported,
+    decompose_line,
     eval_signal,
     forward,
     inverse,
     roc_options,
 )
+from stripgain.rational import partial_fractions
 
 
 def term(c, k, a, side):
@@ -185,3 +191,57 @@ def test_round_trip_all_roc_options_seeded():
             assert back.roc.re_lo == pytest.approx(roc.re_lo, abs=1e-9)
             assert back.roc.re_hi == pytest.approx(roc.re_hi, abs=1e-9)
         done += 1
+
+
+# a pair of poles 10^gap apart about a centre: two real poles ("real"), a
+# near-double complex pole and its conjugate ("double"), or two complex
+# poles whose real parts differ by the gap and whose imaginary parts do not
+# ("line"), with their conjugates
+CLOSE_PAIR = st.tuples(
+    st.sampled_from([-2.0, -1.0, 0.0, 0.7, 2.0]),
+    st.floats(-9.0, -5.0),
+    st.sampled_from(["real", "double", "line"]),
+)
+
+
+def _close_pair_poles(centre, gap, shape):
+    half = 0.5 * 10.0**gap
+    if shape == "real":
+        return [centre - half, centre + half]
+    im = (1.3, 1.3) if shape == "double" else (0.8, 2.1)
+    upper = [complex(centre - half, im[0]), complex(centre + half, im[1])]
+    return upper + [z.conjugate() for z in upper]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    pairs=st.lists(CLOSE_PAIR, min_size=1, max_size=3, unique_by=lambda pair: pair[0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(pairs=[(-1.0, -6.0, "real")], seed=0)
+def test_bands_and_line_splits_read_the_poles_the_expansion_reads(pairs, seed):
+    """Poles 1e-9 to 1e-5 apart, which the expansion may cluster: every
+    band roc_options lists inverts, and transforms back to that band, and
+    wherever decompose_line splits, its parts sum back to G.  The terms of
+    an unclustered close pair are about 1/gap times G and cancel, and the
+    computed poles err at the limit of their conditioning, so the sum is
+    held to the expansion's own scale, the sum of the terms' magnitudes: a
+    term left out of both parts misses it by far more."""
+    poles = [z for pair in pairs for z in _close_pair_poles(*pair)]
+    rng = np.random.default_rng(seed)
+    num = rng.standard_normal(rng.integers(1, len(poles) + 1))
+    G = RationalFunction(num, np.real(np.polynomial.polynomial.polyfromroots(poles)))
+    for roc in roc_options(G):
+        assert forward(inverse(G, roc)).roc == roc
+    s = np.array([0.25 + 3.5j, -1.5 - 4.0j, 2.2 + 5.0j])
+    scale = sum(np.abs(t.coefficient / (s - t.pole) ** t.order) for t in partial_fractions(G)[1])
+    centres = {pair[0] for pair in pairs} | {-0.5, -1.5}
+    for re in sorted(centres | {z.real for z in poles}):
+        if re > 0:
+            continue
+        try:
+            g_minus, g_plus = decompose_line(G, Line(-re))
+        except PoleOnLine:
+            continue
+        total = g_minus.eval_unchecked(s) + g_plus.eval_unchecked(s)
+        assert np.all(np.abs(total - G.eval_unchecked(s)) <= 1e-6 * scale)

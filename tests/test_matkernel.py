@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg as sla
 
 from stripgain import (
-    EigenvalueInStrip,
     InvalidInput,
+    NumericalFailure,
     SampledSignal,
     SingularSylvester,
     StateSpace,
@@ -68,7 +68,7 @@ def test_propagator_matches_series():
 
 def test_split_spectrum_separates_sides():
     A = np.diag([2.0, -3.0, 0.5, -1.0]) + np.triu(np.ones((4, 4)), 1)
-    split = matkernel.split_spectrum(A, 0.2, 0.2)
+    split = matkernel.split_spectrum(A, 0.2, 2)
     p, T = split.p, split.transform
     assert p == 2
     assert np.all(np.linalg.eigvals(split.T[:p, :p]).real > -0.2)
@@ -80,13 +80,14 @@ def test_split_spectrum_separates_sides():
     assert np.allclose(split.inverse @ T, np.eye(4), atol=1e-12)
 
 
-def test_split_spectrum_rejects_eigenvalue_in_band():
+def test_split_spectrum_splits_at_the_callers_count():
+    # the count is the caller's verdict; a reordering that selects another
+    # number of eigenvalues right of the line is refused, not adopted
     A = np.diag([-1.0, -5.0])
-    # the rate interval [0.5, 2] is the band -2 <= Re s <= -0.5
-    with pytest.raises(EigenvalueInStrip, match=r"band \[-2, -0.5\]"):
-        matkernel.split_spectrum(A, 0.5, 2.0)
-    with pytest.raises(InvalidInput):
-        matkernel.split_spectrum(A, 2.0, 0.5)
+    assert matkernel.split_spectrum(A, 2.0, 1).p == 1
+    for p in (0, 2):
+        with pytest.raises(NumericalFailure, match="selected 1 eigenvalues, expected %d" % p):
+            matkernel.split_spectrum(A, 2.0, p)
 
 
 def test_split_spectrum_seeded_similarity():
@@ -99,9 +100,10 @@ def test_split_spectrum_seeded_similarity():
         c = float(rng.uniform(-1.5, 1.5))
         if np.min(np.abs(w.real - c)) < 0.1:
             continue
-        split = matkernel.split_spectrum(A, -c, -c)
-        p, T = split.p, split.transform
-        assert p == int(np.count_nonzero(w.real > c))
+        p = int(np.count_nonzero(w.real > c))
+        split = matkernel.split_spectrum(A, -c, p)
+        T = split.transform
+        assert split.p == p
         block = sla.block_diag(split.T[:p, :p], split.T[p:, p:])
         assert np.allclose(A @ T, T @ block, atol=1e-7 * max(1.0, np.linalg.norm(A)))
         done += 1
@@ -111,7 +113,7 @@ def test_split_spectrum_seeded_similarity():
 def test_split_spectrum_with_the_whole_spectrum_on_one_side(cut, p):
     A = np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 1.0], [0.0, 0.0, 0.5]])
     S = matkernel.real_schur(A)
-    split = matkernel.split_spectrum(S, -cut, -cut)  # the line Re s = cut
+    split = matkernel.split_spectrum(S, -cut, p)  # the line Re s = cut
     assert split.p == p and split.X.shape == (p, 3 - p)
     # nothing to reorder or decouple: the split is the form itself
     assert np.array_equal(split.T, S.T) and np.array_equal(split.transform, S.Z)
@@ -119,7 +121,7 @@ def test_split_spectrum_with_the_whole_spectrum_on_one_side(cut, p):
 
 
 def test_split_spectrum_of_an_empty_model():
-    split = matkernel.split_spectrum(np.zeros((0, 0)), 0.0, 0.0)
+    split = matkernel.split_spectrum(np.zeros((0, 0)), 0.0, 0)
     assert split.p == 0 and split.T.shape == split.transform.shape == (0, 0)
     # a pure feedthrough convolves through the empty split
     ss = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[2.5]])

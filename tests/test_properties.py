@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stripgain import (
-    EigenvalueInStrip,
     InvalidInput,
     Line,
     MarginalRate,
@@ -444,7 +443,7 @@ def test_one_rule_decides_whether_a_pole_sits_on_the_line(seed, n, rate, delta):
     line = Line(rate)
     try:
         p = modal_split(ss, line).p
-    except EigenvalueInStrip:
+    except PoleOnLine:
         p = None
     try:
         line_norm_grid(ss, line)

@@ -243,6 +243,15 @@ def test_decompose_line_splits_by_side():
         assert total == pytest.approx(G.eval_unchecked(s), rel=1e-9)
 
 
+def test_decompose_line_guards_the_poles_it_expands():
+    # the roots -1 +- 5e-7 lie clear of the line Re(s) = -1, but the
+    # expansion clusters them into the double pole -1, which lies on it
+    den = np.polynomial.polynomial.polyfromroots([-1.0 - 5e-7, -1.0 + 5e-7])
+    G = RationalFunction([1.0], den)
+    with pytest.raises(PoleOnLine, match="on the line Re"):
+        decompose_line(G, Line(1.0))
+
+
 def test_frequency_response_data_columns():
     G = RationalFunction([1.0], [1.0, 1.0])
     w = np.array([0.0, 1.0, 2.0])
