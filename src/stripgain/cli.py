@@ -165,7 +165,7 @@ def cmd_dominance(args) -> int:
     return EXIT_OK
 
 
-def _gain_cert_fields(cert) -> dict:
+def _gain_cert_fields(cert, system) -> dict:
     out = {
         "gamma": cert.gamma,
         "rate": cert.rate,
@@ -176,15 +176,12 @@ def _gain_cert_fields(cert) -> dict:
     if cert.boundary_gammas is not None:
         out["boundary_gammas"] = list(cert.boundary_gammas)
     out["small_gain_margin"] = (1.0 / cert.gamma) if cert.gamma > 0 else None
-    if cert.P is not None:
-        out["certificate"] = {
-            "certified_gamma": cert.certified_gamma,
-            "epsilon": cert.epsilon,
-            "lmi_residual": cert.lmi_residual,
-            "P": cert.P,
-        }
-    else:
-        out["certificate"] = None
+    out["certificate"] = None if cert.P is None else {
+        "certified_gamma": cert.certified_gamma,
+        "epsilon": cert.epsilon,
+        "lmi_residual": cert.lmi_residual,
+        "P": system.in_given_coordinates(cert.P),
+    }
     return out
 
 
@@ -202,7 +199,7 @@ def cmd_gain(args) -> int:
             "the gain bound in results is not certified"
         )
     results = {"mode": "line" if isinstance(region, Line) else "strip"}
-    results.update(_gain_cert_fields(cert))
+    results.update(_gain_cert_fields(cert, system))
     _emit(_envelope("gain", [(args.model, digest)], results, warnings, []))
     return EXIT_OK
 

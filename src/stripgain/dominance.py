@@ -122,15 +122,14 @@ def _count_error(eigs: np.ndarray, p: int, rate: float, count: int, on: np.ndarr
 def dominance_check(ss: StateSpace, p: int, rate: float) -> DominanceCertificate:
     """Verify p-dominance at the given rate and build a certificate.
 
-    After the eigenvalue count of require_dominance, the system's cached
-    real Schur form is split at the rate line (matkernel.split_spectrum,
-    whose reordering must select the same p), and P is assembled from
-    Lyapunov solutions on the two diagonal blocks, mapped back by the
-    split's closed-form inverse: no factorisation beyond the one per
-    system.  A residual A'P + PA + 2 rate P below -n u ||.||_F (the
-    symmetric eigensolver's error) fixes P's signature at (p, 0, n - p) by
-    the inertia theorem of Ostrowski and Schneider (1962), so P's inertia
-    is not measured again.
+    After require_dominance counts poles(), the spectrum of the system's one
+    real Schur form, that form is split at the rate line at that count
+    (matkernel.split_spectrum), and P is assembled from Lyapunov solutions on
+    the two diagonal blocks, mapped back by the split's inverse.  A residual
+    A'P + PA + 2 rate P below -n u ||.||_F (the symmetric eigensolver's error)
+    fixes P's signature at (p, 0, n - p) by the inertia theorem of Ostrowski
+    and Schneider (1962).  P, epsilon and lmi_residual are in the model's
+    coordinates: a realization's are its balanced ones (realize).
     """
     require_dominance(ss, p, rate)
     n = ss.n
@@ -197,12 +196,17 @@ def _gain_matrix(ss: StateSpace, P: np.ndarray, gamma: float, rate: float) -> np
 
 
 def _forming_error(ss: StateSpace, P: np.ndarray, rate: float) -> float:
-    """Norm bound on _gain_matrix's rounding: gamma_{n+2} |X||Y| per product
-    X Y (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3)."""
-    norm = np.linalg.norm
+    """Norm bound on _gain_matrix's rounding: gamma_{n+2} |X||Y| per product X Y (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3); for a realization, plus that of
+    its printed P in the given coordinates, mapped back by diag(T, I): times max(1, t)^2."""
+    norm, t = np.linalg.norm, ss._t
     P_part = norm(P) * (2.0 * norm(_shifted(ss, rate)) + norm(ss.B))
     C_part = norm(ss.C) * (norm(ss.C) + norm(ss.D))
-    return (ss.n + 2) * np.finfo(float).eps * float(P_part + C_part)
+    error = (ss.n + 2) * np.finfo(float).eps * float(P_part + C_part)
+    if t is None:
+        return error
+    given = StateSpace(ss.A * np.outer(t, 1.0 / t), t[:, None] * ss.B, ss.C / t, ss.D)
+    return error + _forming_error(given, ss.in_given_coordinates(P), rate) * max(1.0, t.max()) ** 2
 
 
 def verify_gain_lmi(

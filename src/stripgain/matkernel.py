@@ -26,7 +26,7 @@ from .errors import InvalidInput, NumericalFailure, SingularSylvester
 TAU_SYM = 1e-12
 TAU_LYAP = 1e-9
 
-_dgees, _dtrsen, _dtrsyl = sla.get_lapack_funcs(("gees", "trsen", "trsyl"), (np.zeros(1),))
+_dgebal, _dgees, _dtrsen, _dtrsyl = sla.get_lapack_funcs(("gebal", "gees", "trsen", "trsyl"))
 
 
 def as_square_matrix(A, name="A") -> np.ndarray:
@@ -54,6 +54,13 @@ def eig(A) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigenvalue iteration failed: %s" % exc) from exc
     return np.sort_complex(w)
+
+
+def balance(A) -> tuple[np.ndarray, np.ndarray]:
+    """(inv(T) A T, t): A balanced by the diagonal T = diag(t) of powers of two,
+    an exact similarity (LAPACK dgebal, no permutation; Parlett and Reinsch 1969)."""
+    Ab, _, _, t, _ = _dgebal(as_square_matrix(A), scale=1, permute=0)
+    return Ab, t
 
 
 @dataclass(frozen=True)
@@ -245,9 +252,10 @@ def split_spectrum(S, lam: float, p: int) -> SchurSplit:
     top (reorder_schur) and the diagonal blocks are decoupled by a
     triangular Sylvester solve (LAPACK dtrsyl), so that inv(transform) A
     transform = blkdiag(T11, T22) with T11 p x p.  Whether an eigenvalue
-    sits on the line is the caller's verdict, not the split's: a reordering
-    that selects other than p eigenvalues, or a split that misses A by more
-    than its residual bound, raises NumericalFailure.
+    sits on the line is the caller's verdict.  A count of a model's poles()
+    is this reordering's by construction; any other count it misses (a raw
+    matrix's caller), or a split that misses A beyond its residual bound,
+    raises NumericalFailure.
     """
     S = S if isinstance(S, RealSchur) else real_schur(S)
     n = S.T.shape[0]

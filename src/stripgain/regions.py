@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InvalidInput, PoleInStrip, PoleOnLine
 
-# relative distance, 1e-8 * (1 + |Re|), within which a pole or eigenvalue
-# counts as sitting on a rate line or a strip boundary
+# relative distance 1e-8 * (1 + |Re|) within which a pole or eigenvalue counts as
+# on a rate line or a strip boundary; _on_band adds n u max|w|, an eigensolver's error
 TAU_LINE = 1e-8
 
 
@@ -26,10 +26,11 @@ def _on_band(eigs, lo, hi):
     [lo, hi] (the band -hi <= Re s <= -lo), on one spectrum or on each row of
     a stack of spectra (..., n): returns (count, on), the count of
     eigenvalues right of Re s = -lo, of shape (...), and the mask, of shape
-    (..., n), of those within TAU_LINE * (1 + |Re|) of the band.  The rates
-    broadcast too: lo and hi of shape (m, 1) give (m,) and (m, n)."""
+    (..., n), of those within TAU_LINE * (1 + |Re|) + n u max|w| (max|w| <= ||A||) of
+    the band.  The rates broadcast too: lo and hi of shape (m, 1) give (m,) and (m, n)."""
     re = np.real(eigs)
-    tol = TAU_LINE * (1.0 + np.abs(re))
+    scale = np.abs(eigs).max(axis=-1, keepdims=True, initial=0.0)
+    tol = TAU_LINE * (1.0 + np.abs(re)) + re.shape[-1] * np.finfo(float).eps * scale
     return (re > -lo).sum(axis=-1), (re >= -hi - tol) & (re <= -lo + tol)
 
 

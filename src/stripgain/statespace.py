@@ -52,11 +52,12 @@ def _as_2d(x, rows, cols, name):
 
 class StateSpace:
     """Linear time-invariant system dx = Ax + Bu, y = Cx + Du, every matrix
-    2-D; _tf is the transfer function of a realization (realize), None for
-    any other."""
+    2-D; _tf is the transfer function of a realization (realize) and _t its
+    balancing, None for any other."""
 
     def __init__(self, A, B, C, D):
         self._tf: RationalFunction | None = None
+        self._t: np.ndarray | None = None
         self.A = matkernel.as_square_matrix(A)
         n = self.A.shape[0]
         self.B = _as_2d(B, n, None, "B")
@@ -82,26 +83,25 @@ class StateSpace:
         return self.n_inputs == 1 and self.n_outputs == 1
 
     def poles(self) -> np.ndarray:
-        """Eigenvalues of A sorted by (real, imag), read-only (_tf's poles)."""
+        """Eigenvalues of A sorted by (real, imag), read-only: schur's, the one spectrum."""
         return self._poles
 
     @cached_property
     def _poles(self) -> np.ndarray:
-        if self._tf is not None:
-            return self._tf.poles
-        w = matkernel.eig(self.A)
+        w = np.sort_complex(self.schur.w)
         w.setflags(write=False)
         return w
 
+    def in_given_coordinates(self, P) -> np.ndarray:
+        """A form P on the state, in the given coordinates: a realization's P / outer(t, t)."""
+        return P if self._t is None else P / np.outer(self._t, self._t)
+
     @cached_property
     def schur(self) -> matkernel.RealSchur:
-        """Real Schur form A = Z T Z' (LAPACK dgees).
-
-        Computed once per system (the matrices are read-only), like the
-        poles, and the one factorisation of A: frequency responses read
-        their complex triangular form off it (response_form), dominance
-        certificates and modal splits reorder it to any rate line.
-        """
+        """Real Schur form A = Z T Z' (LAPACK dgees), the one factorisation of
+        A, computed once (the matrices are read-only): poles() are its
+        eigenvalues, frequency responses read their complex triangular form
+        off it (response_form), certificates and modal splits reorder it."""
         return matkernel.real_schur(self.A)
 
     @cached_property
@@ -130,9 +130,9 @@ def as_state_space(system: StateSpace | RationalFunction) -> StateSpace:
 
 
 def realize(G: RationalFunction) -> StateSpace:
-    """Controllable-canonical realization of a proper rational function:
-    the one conversion of a transfer function, kept as _tf, whose poles are
-    poles() and whose polynomials frequency_response evaluates."""
+    """The one conversion of a proper rational function, kept as _tf, whose
+    polynomials frequency_response evaluates: its controllable canonical A,
+    B, C balanced to inv(T) A T, inv(T) B, C T (matkernel.balance, T = diag(t), kept as _t)."""
     if not G.is_proper:
         raise ImproperTransferFunction(
             "numerator degree %d exceeds denominator degree %d"
@@ -145,14 +145,14 @@ def realize(G: RationalFunction) -> StateSpace:
         rem = Polynomial.from_computed(np.polynomial.polynomial.polysub(G.num.coeffs, d * den))
     else:
         d, rem = 0.0, G.num
-    A, B, C = np.eye(n, k=1), np.zeros((n, 1)), np.zeros((1, n))
+    A, B, C, t = np.eye(n, k=1), np.zeros((n, 1)), np.zeros((1, n)), np.ones(n)
     if n:
         A[n - 1, :] = -den[:n]
         B[n - 1, 0] = 1.0
-        take = min(n, rem.degree + 1)
-        C[0, :take] = rem.coeffs[:take]
-    ss = StateSpace(A, B, C, [[d]])
-    ss._tf = G
+        C[0, : rem.degree + 1] = rem.coeffs[:n]
+        A, t = matkernel.balance(A)
+    ss = StateSpace(A, B / t[:, None], C * t, [[d]])
+    ss._tf, ss._t = G, t
     return ss
 
 

@@ -7,7 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from stripgain import RationalFunction, Strip, cli, realize, robust_dominance, verify_gain_lmi
+from stripgain import (
+    RationalFunction,
+    StateSpace,
+    Strip,
+    cli,
+    matkernel,
+    realize,
+    robust_dominance,
+    verify_gain_lmi,
+)
 from stripgain.cli import main
 from stripgain.modelio import float_repr
 
@@ -495,10 +504,25 @@ def test_gain_warns_when_certificate_is_null(capsys, monkeypatch, unstable):
     assert any("certificate" in w for w in env["warnings"])
 
 
+def _companion(num, den):
+    """The controllable canonical form of num/den (ascending coefficients,
+    a monic den), built from np.eye(n, k=1) and the coefficients alone: the
+    coordinates a tf file's printed certificate refers to."""
+    n = len(den) - 1
+    d = num[n] if len(num) == n + 1 else 0.0
+    A, B = np.eye(n, k=1), np.eye(n)[:, -1:]
+    A[-1] = -np.asarray(den[:n])
+    C = np.zeros((1, n))
+    C[0, : min(len(num), n)] = np.asarray(num[:n]) - d * np.asarray(den[: len(num[:n])])
+    return StateSpace(A, B, C, [[d]])
+
+
 def test_gain_certificate_of_a_sixth_order_lag(capsys, tmp_path):
-    # 1/((s+1)(s+2)...(s+6)): P's eigenvalues span 3e-8 to 5.2, inside the
-    # zero band of inertia(); the verified strict inequality fixes P's
-    # signature, so the first rung's certificate is printed.
+    # 1/((s+1)(s+2)...(s+6)): the printed P's eigenvalues span 6e-12 to 5.2,
+    # inside the zero band of inertia(); the verified strict inequality
+    # fixes P's signature, so the first rung's certificate is printed.  It
+    # is built on the balanced realization and printed in the companion
+    # form's coordinates, an exact congruence by powers of two.
     den = [720.0, 1764.0, 1624.0, 735.0, 175.0, 21.0, 1.0]
     model = write_model(tmp_path / "g6.json", {"kind": "tf", "num": [1.0], "den": den})
     code, env = run_json(capsys, ["gain", model, "--p", "0", "--line", "0", "--certificate"])
@@ -507,11 +531,36 @@ def test_gain_certificate_of_a_sixth_order_lag(capsys, tmp_path):
     cert = env["results"]["certificate"]
     assert cert is not None
     assert cert["certified_gamma"] >= env["results"]["gamma"] >= 1.0 / 720.0 * (1 - 1e-6)
-    rep = verify_gain_lmi(
-        realize(RationalFunction([1.0], den)), cert["P"], cert["certified_gamma"], 0.0,
-        cert["epsilon"],
-    )
+    comp = _companion([1.0], den)
+    rep = verify_gain_lmi(comp, cert["P"], cert["certified_gamma"], 0.0, cert["epsilon"])
+    assert rep.valid
+    t = matkernel.balance(comp.A)[1]
+    ss = realize(RationalFunction([1.0], den))
+    P = np.asarray(cert["P"]) * np.outer(t, t)
+    rep = verify_gain_lmi(ss, P, cert["certified_gamma"], 0.0, cert["epsilon"])
     assert rep.valid and rep.residual == cert["lmi_residual"]
+
+
+@pytest.mark.parametrize(
+    "num, den, argv",
+    [
+        ([1.0, -0.5, 2.0], [-6.0, 1.0, 4.0, 1.0], ["--p", "1", "--strip", "0.5,1.5"]),
+        ([0.5, 1.0, 0.0, 2.0], [30.0, 31.0, 10.0, 1.0], ["--p", "0", "--line", "0.5"]),
+        ([2.0, 1.0, -1.0, 3.0, 1.0], [50.0, -5.0, 35.0, 10.0, 1.0], ["--p", "2", "--line", "0"]),
+    ],
+)
+def test_tf_gain_certificate_is_printed_in_companion_coordinates(capsys, tmp_path, num, den, argv):
+    """A tf file's printed `gain --certificate` P passes verify_gain_lmi on
+    the companion form of the file's coefficients, the form it is printed
+    in (the sixth-order lag above is one more case)."""
+    model = write_model(tmp_path / "g.json", {"kind": "tf", "num": num, "den": den})
+    code, env = run_json(capsys, ["gain", model, "--certificate"] + argv)
+    assert code == 0
+    cert, rate = env["results"]["certificate"], env["results"]["rate"]
+    rep = verify_gain_lmi(
+        _companion(num, den), cert["P"], cert["certified_gamma"], rate, cert["epsilon"]
+    )
+    assert rep.valid
 
 
 def test_csv_lines_matches_per_cell_float_repr():
@@ -607,14 +656,20 @@ def test_nyquist_rejects_a_non_finite_uncertainty(capsys, first_order):
         assert capsys.readouterr() == ("", "error: uncertainty scale must be finite and >= 0\n")
 
 
-def test_tf_gain_finds_its_poles_and_lower_end_through_its_polynomials(
+def test_tf_gain_reads_its_poles_off_one_schur_form_and_its_lower_end_off_its_polynomials(
     capsys, monkeypatch, tmp_path
 ):
     """A degree-4 tf through `gain --certificate` on a strip: its roots come
-    from the two companion eigensolves of the reduction on load (no
-    eigensolve of the realization's A for its poles), and the level
-    search's lower end is |G| by Horner's rule at the reported peak."""
-    from stripgain import matkernel, rational, strip_norm
+    from the two companion eigensolves of the reduction on load, its poles
+    from the one real Schur form of its balanced realization (no eigensolve
+    of the realization's A), and the level search's lower end is |G| by
+    Horner's rule at the reported peak, within Horner's error bound of |G|
+    in 50-digit arithmetic: 4 n u (cond(num) + cond(den)) relative, cond(p)
+    = sum |p_k| |s|^k / |p(s)| (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 5; twice gamma_2n for complex arithmetic)."""
+    import mpmath
+
+    from stripgain import rational, strip_norm
     from stripgain.modelio import load_model
     from stripgain.regions import Strip
 
@@ -622,9 +677,9 @@ def test_tf_gain_finds_its_poles_and_lower_end_through_its_polynomials(
     den = np.real(np.polynomial.polynomial.polyfromroots([-2 + 1.5j, -2 - 1.5j, -2.5, -4.0]))
     model = write_model(tmp_path / "g4.json", {"kind": "tf", "num": num.tolist(),
                                                 "den": den.tolist()})
-    roots, matrices = [], []
+    roots, matrices, schurs = [], [], []
     inside = []
-    poly_roots, eig = rational.poly_roots, matkernel.eig
+    poly_roots, eig, real_schur = rational.poly_roots, matkernel.eig, matkernel.real_schur
 
     def counting_roots(p):
         roots.append(p)
@@ -639,13 +694,19 @@ def test_tf_gain_finds_its_poles_and_lower_end_through_its_polynomials(
             matrices.append(np.shape(M))
         return eig(M)
 
+    def counting_schur(M):
+        schurs.append(np.shape(M))
+        return real_schur(M)
+
     monkeypatch.setattr(rational, "poly_roots", counting_roots)
     monkeypatch.setattr(matkernel, "eig", counting_eig)
+    monkeypatch.setattr(matkernel, "real_schur", counting_schur)
     code, env = run_json(capsys, ["gain", model, "--p", "0", "--strip", "0.5,1.5",
                                   "--certificate"])
     assert code == 0 and env["results"]["certificate"] is not None
     assert len(roots) <= 2
     assert matrices == []
+    assert schurs.count((4, 4)) == 1
     monkeypatch.undo()
 
     _, G, _ = load_model(model)
@@ -653,4 +714,10 @@ def test_tf_gain_finds_its_poles_and_lower_end_through_its_polynomials(
     assert env["results"]["bracket"] == list(res.bracket)
     lam = 0.5 if res.attaining_boundary == "lo" else 1.5
     s = -np.array([lam]) + 1j * np.array([res.peak_frequency])
-    assert res.bracket[0] == abs(G.eval_unchecked(s)[0])
+    assert res.bracket[0] == np.abs(G.eval_unchecked(s))[0]
+    with mpmath.workdps(50):
+        z = mpmath.mpc(-lam, res.peak_frequency)
+        want = abs(mpmath.polyval(num[::-1].tolist(), z) / mpmath.polyval(den[::-1].tolist(), z))
+    poly = np.polynomial.polynomial
+    cond = sum(poly.polyval(abs(s[0]), np.abs(c)) / abs(poly.polyval(s[0], c)) for c in (num, den))
+    assert abs(res.bracket[0] - want) <= 4 * (len(den) - 1) * np.finfo(float).eps * cond * want

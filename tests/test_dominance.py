@@ -388,24 +388,15 @@ def test_dominance_certificate_with_widely_spread_eigenvalues():
         assert (np.sum(w < 0), np.sum(w == 0), np.sum(w > 0)) == (1, 0, 7)
 
 
-def test_dominance_check_rejects_a_split_that_counts_otherwise():
-    # poles() and the Schur form are separate eigensolves; where they
-    # disagree about a side of the rate line no certificate is built
-    ss = siso(np.diag([-1.0, -3.0]), [1.0, 1.0], [1.0, 1.0])
-    ss.__dict__["_poles"] = np.array([-3.0, -2.5], dtype=complex)
-    require_dominance(ss, 0, 2.0)
-    with pytest.raises(NumericalFailure, match="selected 1 eigenvalues, expected 0"):
-        dominance_check(ss, 0, 2.0)
-
-
 def test_dominance_check_rejects_a_schur_eigenvalue_on_the_rate_line():
-    # poles() puts both eigenvalues clear of the line Re(s) = -1, but the
-    # Schur form has one within TAU_LINE of it, on the line's right: the
-    # split selects it, against the count, and no certificate is built
+    # poles() is the Schur form's spectrum, so its eigenvalue within
+    # TAU_LINE of the line Re(s) = -1, on the line's right, is counted as
+    # on the line: the rate is marginal, and no split is attempted
     ss = siso(np.diag([-1.0 + 1e-10, -3.0]), [1.0, 1.0], [1.0, 1.0])
-    ss.__dict__["_poles"] = np.array([-3.0, -1.5], dtype=complex)
-    require_dominance(ss, 0, 1.0)
-    with pytest.raises(NumericalFailure, match="selected 1 eigenvalues, expected 0"):
+    assert ss.poles()[1] == -1.0 + 1e-10
+    with pytest.raises(MarginalRate):
+        require_dominance(ss, 0, 1.0)
+    with pytest.raises(MarginalRate):
         dominance_check(ss, 0, 1.0)
 
 
@@ -442,6 +433,28 @@ def test_riccati_ladder_moves_on_when_the_margin_fails(monkeypatch):
     assert got.certified_gamma == want.certified_gamma
     rep = verify_gain_lmi(ss, got.P, got.certified_gamma, 0.5, got.epsilon)
     assert rep.residual == got.lmi_residual < 0.0
+
+
+def test_a_realized_certificate_clears_the_rounding_of_its_printed_coordinates():
+    """A degree-8 tf with one pole right of the strip (0.5, 1.5): a P
+    certifies its balanced realization, given as a plain model, at the
+    edge 1.5, but printed in the companion form's coordinates it has norm
+    1.3e12, and forming the inequality from it there rounds by more than
+    its margin, so the realization's certificate is refused."""
+    G = RationalFunction(
+        [
+            42.6820315402563, 351.7813505578741, -312.9437365597655, 90.10561924869378,
+            -29.306238861844502, -16.419731554463546, 8.652302532917421, 2.24692733220244,
+        ],
+        [
+            -175.78266918263657, 298.2747700214878, 1466.2891458903966, 1927.156529811102,
+            1314.0784046111146, 528.6524363534611, 127.43968609902277, 17.162996231035674, 1.0,
+        ],
+    )
+    ss = realize(G)
+    plain = StateSpace(ss.A, ss.B, ss.C, ss.D)
+    assert strip_gain(plain, 1, Strip(0.5, 1.5), with_certificate=True).P is not None
+    assert strip_gain(ss, 1, Strip(0.5, 1.5), with_certificate=True).P is None
 
 
 def test_gain_certificate_margin_clears_the_rounding_of_its_matrix(monkeypatch):

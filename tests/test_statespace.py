@@ -37,6 +37,52 @@ def test_realize_dimensions_and_poles():
     assert ss.poles() is ss.poles() and not ss.poles().flags.writeable
 
 
+def test_poles_are_the_sorted_spectrum_of_the_one_schur_form(monkeypatch):
+    """A state-space model and a realized tf alike read poles() off their
+    one real Schur form: one factorisation each, and no eigensolve of A."""
+    from stripgain import matkernel
+
+    G = RationalFunction([1.0, 2.0], [5.0, -3.0, 2.0, 1.0])
+    A = [[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.5], [0.0, 0.0, 3.0]]
+    calls = {"eig": 0, "real_schur": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(matkernel, name, counted(name, getattr(matkernel, name)))
+    for ss in (StateSpace(A, [[1.0], [0.0], [1.0]], [[1.0, 1.0, 0.0]], [[0.0]]), realize(G)):
+        before = dict(calls)
+        w = ss.poles()
+        assert ss.schur is ss.schur and ss.poles() is w
+        assert w.tobytes() == np.sort_complex(ss.schur.w).tobytes()
+        assert (calls["eig"], calls["real_schur"]) == (before["eig"], before["real_schur"] + 1)
+
+
+def test_realize_balances_the_companion_form_by_powers_of_two():
+    """realize's A, B, C are the companion form's under the power-of-two
+    diagonal similarity of matkernel.balance, exactly, and a quadratic form
+    on its state maps back to the companion coordinates by P / outer(t, t)."""
+    from stripgain import matkernel
+
+    G = RationalFunction([0.5, 1.0], [720.0, 1764.0, 1624.0, 735.0, 175.0, 21.0, 1.0])
+    ss = realize(G)
+    n = 6
+    A = np.eye(n, k=1)
+    A[-1] = -np.asarray(G.den.coeffs[:n])
+    Ab, t = matkernel.balance(A)
+    assert np.array_equal(np.log2(t), np.round(np.log2(t))) and not (t == 1.0).all()
+    assert np.array_equal(ss.A, Ab) and np.array_equal(Ab, A * t / t[:, None])
+    assert np.array_equal(ss.B[:, 0] * t, np.eye(n)[-1])
+    assert np.array_equal(ss.C[0] / t, [0.5, 1.0, 0.0, 0.0, 0.0, 0.0])
+    P = np.arange(36.0).reshape(6, 6)
+    assert np.array_equal(ss.in_given_coordinates(P) * np.outer(t, t), P)
+
+
 def test_state_space_takes_2d_arrays_only():
     with pytest.raises(InvalidInput, match="B must be 2-D, got ndim 1"):
         StateSpace([[-1.0]], [1.0], [[1.0]], [[0.0]])

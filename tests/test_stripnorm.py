@@ -399,7 +399,10 @@ def test_grid_polishes_a_maximum_at_its_last_point(wn, zeta):
 def test_polish_goes_on_after_a_round_without_gain():
     """On this degree-6 model the first parabolic vertex overshoots the
     peak and the round finds no better point; the narrowed interval still
-    leads the polish to the supremum."""
+    leads the polish to the supremum, found in 50-digit arithmetic on the
+    coefficients, which the level search's bracket contains."""
+    import mpmath
+
     from stripgain.stripnorm import _polish
 
     G = RationalFunction(
@@ -420,7 +423,16 @@ def test_polish_goes_on_after_a_round_without_gain():
     def response(members, omegas):
         return frequency_response(ss, lam, omegas)
 
-    ((_, value),) = _polish([(0, w, f)], response, 1e-9 * f[1]).values()
-    want = line_norm_bisection(G, Line(lam)).bracket[0]
-    assert want == pytest.approx(6.3670964042, rel=1e-10)
+    ((peak, value),) = _polish([(0, w, f)], response, 1e-9 * f[1]).values()
+    with mpmath.workdps(50):
+        num, den = (list(reversed(P.coeffs)) for P in (G.num, G.den))
+
+        def mag(x):
+            s = mpmath.mpc(-lam, x)
+            return abs(mpmath.polyval(num, s) / mpmath.polyval(den, s))
+
+        want = float(mag(mpmath.findroot(lambda x: mpmath.diff(mag, x), peak)))
+    assert want == pytest.approx(6.3670964042382, rel=1e-12)
     assert value == pytest.approx(want, rel=1e-12)
+    lo, hi = line_norm_bisection(G, Line(lam)).bracket
+    assert lo <= want <= hi

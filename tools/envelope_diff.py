@@ -79,10 +79,14 @@ ERROR_MODELS = {
     "improper": {"kind": "tf", "num": [0.0, 0.0, 1.0], "den": [1.0, 1.0]},
     "feedthrough": {"kind": "tf", "num": [16.0, 13.5, 3.25], "den": [21.0, 8.7, 1.0]},
     "peak": {"kind": "tf", "num": [1e200], "den": [1.0, 0.1, 1.0]},
+    "huge": {"kind": "ss", "A": [[-1e300, 1e300], [1e300, -1e300]], "B": [[1.0], [0.0]],
+             "C": [[1.0, 0.0]], "D": [[0.0]]},
 }
 # (name, argv) of each: example-sec5's input errors, a malformed model file,
-# one operation per typed analysis error the CLI prints, and two level tests
-# whose Hamiltonian overflows; "{model}" is the path of ERROR_MODELS[model].
+# one operation per typed analysis error the CLI prints, two level tests
+# whose Hamiltonian overflows, and the zero eigenvalue of a matrix of norm
+# 2e300, computed as 2.2e284, on a rate line; "{model}" is the path of
+# ERROR_MODELS[model].
 ERROR_OPS = [
     ("example-sec5 --tau -1", ["example-sec5", "--tau", "-1"]),
     ("example-sec5 --d 0", ["example-sec5", "--d", "0"]),
@@ -103,6 +107,8 @@ ERROR_OPS = [
     ("overflow: norm --line 0", ["norm", "{peak}", "--line", "0"]),
     ("overflow: gain --p 0 --line 0", ["gain", "{peak}", "--p", "0", "--line", "0"]),
     ("overflow: example-sec5 --ki 1e300", ["example-sec5", "--ki", "1e300"]),
+    ("scale: dominance --p 0 --rate 0", ["dominance", "{huge}", "--p", "0", "--rate", "0"]),
+    ("scale: norm --line 0", ["norm", "{huge}", "--line", "0"]),
 ]
 
 
