@@ -1,10 +1,13 @@
 """Dominance analysis and weighted gain bounds on vertical strips.
 
-The package works with proper SISO rational transfer functions and their
-state-space realizations.  Norms are taken along vertical lines
-Re(s) = -lam for decay rates lam >= 0 and over open strips of such lines;
-dominance certificates count and certify eigenvalues right of a shifted
-axis, and the two notions combine through a small-gain feedback test.
+The package works with proper rational transfer functions and state-space
+models, both with one input and one output: a StateSpace is single-input
+single-output by construction (B is n x 1, C 1 x n, D 1 x 1), so every
+norm, gain and certificate is of a scalar G.  Norms are taken along
+vertical lines Re(s) = -lam for decay rates lam >= 0 and over open strips
+of such lines; dominance certificates count and certify eigenvalues right
+of a shifted axis, and the two notions combine through a small-gain
+feedback test.
 """
 
 import os

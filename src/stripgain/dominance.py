@@ -29,7 +29,7 @@ from .errors import (
 )
 from .rational import Polynomial, RationalFunction
 from .regions import Line, Strip, _on_band
-from .statespace import StateSpace, as_state_space, realize, require_siso
+from .statespace import StateSpace, as_state_space, realize
 from .stripnorm import (
     _level_search,
     _line_searches,
@@ -190,7 +190,7 @@ def _gain_matrix(ss: StateSpace, P: np.ndarray, gamma: float, rate: float) -> np
     At = _shifted(ss, rate)
     TL = At.T @ P + P @ At + ss.C.T @ ss.C
     TR = P @ ss.B + ss.C.T @ ss.D
-    BR = ss.D.T @ ss.D - gamma * gamma * np.eye(ss.n_inputs)
+    BR = ss.D.T @ ss.D - gamma * gamma
     M = np.block([[TL, TR], [TR.T, BR]])
     return 0.5 * (M + M.T)
 
@@ -338,7 +338,6 @@ def l2p_gain(
     supremum of |G| on the line, computed by the Hamiltonian level iteration.
     """
     ss = as_state_space(system)
-    require_siso(ss, "l2p_gain")
     _require_count(ss.poles(), p, line.lam)
     _require_tol(tol)
     res = _line_searches(ss, [line], tol)[0]
@@ -363,7 +362,6 @@ def strip_gain(
     for, is built on the attaining edge only.
     """
     ss = as_state_space(system)
-    require_siso(ss, "strip_gain")
     _require_count(ss.poles(), p, (strip.lo, strip.hi))
     _require_tol(tol)
     res = _strip_sup(ss, strip, "bisection", tol)
@@ -373,35 +371,30 @@ def strip_gain(
 
 
 def feedback_compose(ss1: StateSpace, ss2: StateSpace) -> StateSpace:
-    """Negative feedback interconnection u1 = w - y2, u2 = y1.
+    """Negative feedback interconnection u1 = w - y2, u2 = y1 of two systems,
+    each with one input and one output by construction.
 
     The returned system maps the injection w at the first subsystem's input
-    to the first subsystem's output y1 over the stacked state (x1, x2).
+    to the first subsystem's output y1 over the stacked state (x1, x2).  The
+    feedthroughs d1, d2 close the algebraic loop 1 + d1 d2, which must not
+    be 0.
     """
-    if ss1.n_inputs != ss2.n_outputs or ss2.n_inputs != ss1.n_outputs:
-        raise InvalidInput(
-            "feedback dimensions mismatch: (%d in, %d out) against (%d in, %d out)"
-            % (ss1.n_inputs, ss1.n_outputs, ss2.n_inputs, ss2.n_outputs)
-        )
-    A1, B1, C1, D1 = ss1.A, ss1.B, ss1.C, ss1.D
-    A2, B2, C2, D2 = ss2.A, ss2.B, ss2.C, ss2.D
-    q1 = ss1.n_outputs
-    loop = np.eye(q1) + D1 @ D2
-    if np.linalg.cond(loop) > 1e12:
+    A1, B1, C1, d1 = ss1.A, ss1.B, ss1.C, float(ss1.D[0, 0])
+    A2, B2, C2, d2 = ss2.A, ss2.B, ss2.C, float(ss2.D[0, 0])
+    loop = 1.0 + d1 * d2
+    if loop == 0.0:
         raise IllPosed("algebraic loop I + D1 D2 is singular")
-    Phi = np.linalg.inv(loop)
-    n1, n2 = ss1.n, ss2.n
-    K = np.eye(ss1.n_inputs) - D2 @ Phi @ D1  # equals inv(I + D2 D1)
+    phi = 1.0 / loop
+    k = 1.0 - d2 * phi * d1  # equals 1 / (1 + d2 d1)
     A = np.block(
         [
-            [A1 - B1 @ D2 @ Phi @ C1, -B1 @ K @ C2],
-            [B2 @ Phi @ C1, A2 - B2 @ Phi @ D1 @ C2],
+            [A1 - B1 * d2 * phi @ C1, -B1 * k @ C2],
+            [B2 * phi @ C1, A2 - B2 * phi * d1 @ C2],
         ]
     )
-    B = np.vstack([B1 @ K, B2 @ Phi @ D1])
-    C = np.hstack([Phi @ C1, -Phi @ D1 @ C2])
-    D = Phi @ D1
-    return StateSpace(A, B, C, D)
+    B = np.vstack([B1 * k, B2 * phi * d1])
+    C = np.hstack([phi * C1, -phi * d1 * C2])
+    return StateSpace(A, B, C, [[phi * d1]])
 
 
 @dataclass(frozen=True)
@@ -530,7 +523,6 @@ def _sector_sweeps(loop: SlopeLoop, p: int, lines, tol: float, n_slopes: int):
     """sector_slope_gain on each of the given lines, in order, as one batch:
     one slope family, one stack of spectra, one level search."""
     L = loop.linear
-    require_siso(L, "sector_slope_gain")
     if n_slopes < 1:
         raise InvalidInput("n_slopes must be >= 1")
     if n_slopes < 2 and loop.slope_lo < loop.slope_hi:

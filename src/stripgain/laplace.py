@@ -157,16 +157,19 @@ def roc_options(F: RationalFunction) -> tuple[ROC, ...]:
 
     The poles are those partial_fractions expands on (and inverse
     classifies).  A real part on the line of the one before it, by the rule
-    of regions._on_band, lies on the same line, so a band runs from the
-    largest real part of one line to the smallest of the next; a pole-free
-    F yields the whole plane.
+    of regions._on_band applied, as inverse applies it, to the real parts of
+    all the expansion's terms, lies on the same line, so a band runs from
+    the largest real part of one line to the smallest of the next; a
+    pole-free F yields the whole plane.
     """
     if not isinstance(F, RationalFunction):
         raise InvalidInput("roc_options expects a RationalFunction")
-    re = np.unique([t.pole.real for t in partial_fractions(F)[1]])
+    terms = np.array([t.pole.real for t in partial_fractions(F)[1]])
+    re = np.unique(terms)
     if not re.size:
         return (ROC(-math.inf, math.inf),)
-    new_line = ~_on_band(re[1:], -re[:-1], -re[:-1])[1]
+    lines = -re[:-1, None]
+    new_line = ~(_on_band(terms, lines, lines)[1] & (terms > -lines)).any(axis=1)
     los = [-math.inf, *re[np.r_[new_line, True]].tolist()]
     his = [*re[np.r_[True, new_line]].tolist(), math.inf]
     return tuple(ROC(lo, hi) for lo, hi in zip(los, his))

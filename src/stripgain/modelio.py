@@ -1,7 +1,8 @@
 """JSON model files and deterministic output formatting for the CLI.
 
 Model files carry either a transfer function ("tf": ascending num/den
-coefficient lists) or a state-space quadruple ("ss": nested row-major lists).
+coefficient lists) or a state-space quadruple ("ss": nested row-major lists,
+A n x n, B n x 1, C 1 x n and D 1 x 1: one input and one output).
 Serialization keeps 17 significant digits so values survive a round trip
 through the printed form unchanged.
 """
@@ -85,19 +86,11 @@ def parse_model_data(obj, where: str = "model"):
         for field in ("A", "B", "C", "D"):
             if field not in obj:
                 raise InvalidInput("%s.%s is required for kind 'ss'" % (where, field))
-        A_rows = obj["A"]
-        if not isinstance(A_rows, list):
-            raise InvalidInput("%s.A must be a list of rows" % where)
-        n = len(A_rows)
-        D_rows = obj["D"]
-        if not isinstance(D_rows, list) or not D_rows or not isinstance(D_rows[0], list):
-            raise InvalidInput("%s.D must be a nonempty list of rows" % where)
-        q = len(D_rows)
-        m = len(D_rows[0])
-        A = _matrix(A_rows, n, n, where + ".A")
-        B = _matrix(obj["B"], n, m, where + ".B")
-        C = _matrix(obj["C"], q, n, where + ".C")
-        D = _matrix(D_rows, q, m, where + ".D")
+        n = len(obj["A"]) if isinstance(obj["A"], list) else 0
+        A = _matrix(obj["A"], n, n, where + ".A")
+        B = _matrix(obj["B"], n, 1, where + ".B")
+        C = _matrix(obj["C"], 1, n, where + ".C")
+        D = _matrix(obj["D"], 1, 1, where + ".D")
         return "ss", StateSpace(A, B, C, D)
     raise InvalidInput("%s.kind must be 'tf' or 'ss', got %r" % (where, kind))
 

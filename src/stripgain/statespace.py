@@ -34,13 +34,10 @@ INTERIOR_RATES = 9
 
 
 def _as_2d(x, rows, cols, name):
-    """x as a finite 2-D float array of shape (rows, cols); None leaves that
-    dimension free."""
+    """x as a finite 2-D float array of shape (rows, cols)."""
     M = np.asarray(x, dtype=float)
     if M.ndim != 2:
         raise InvalidInput("%s must be 2-D, got ndim %d" % (name, M.ndim))
-    rows = M.shape[0] if rows is None else rows
-    cols = M.shape[1] if cols is None else cols
     if M.shape != (rows, cols):
         raise InvalidInput(
             "%s must have shape (%d, %d), got %r" % (name, rows, cols, M.shape)
@@ -51,36 +48,25 @@ def _as_2d(x, rows, cols, name):
 
 
 class StateSpace:
-    """Linear time-invariant system dx = Ax + Bu, y = Cx + Du, every matrix
-    2-D; _tf is the transfer function of a realization (realize) and _t its
-    balancing, None for any other."""
+    """Linear time-invariant system dx = Ax + Bu, y = Cx + Du with one input
+    u and one output y by construction: A is n x n, B n x 1, C 1 x n and D
+    1 x 1; _tf is the transfer function of a realization (realize) and _t
+    its balancing, None for any other."""
 
     def __init__(self, A, B, C, D):
         self._tf: RationalFunction | None = None
         self._t: np.ndarray | None = None
         self.A = matkernel.as_square_matrix(A)
         n = self.A.shape[0]
-        self.B = _as_2d(B, n, None, "B")
-        self.C = _as_2d(C, None, n, "C")
-        self.D = _as_2d(D, self.C.shape[0], self.B.shape[1], "D")
+        self.B = _as_2d(B, n, 1, "B")
+        self.C = _as_2d(C, 1, n, "C")
+        self.D = _as_2d(D, 1, 1, "D")
         for M in (self.A, self.B, self.C, self.D):
             M.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def is_siso(self) -> bool:
-        return self.n_inputs == 1 and self.n_outputs == 1
 
     def poles(self) -> np.ndarray:
         """Eigenvalues of A sorted by (real, imag), read-only: schur's, the one spectrum."""
@@ -112,16 +98,7 @@ class StateSpace:
         return T, Z.conj().T @ self.B, self.C @ Z
 
     def __repr__(self):
-        return "StateSpace(n=%d, inputs=%d, outputs=%d)" % (
-            self.n,
-            self.n_inputs,
-            self.n_outputs,
-        )
-
-
-def require_siso(ss: StateSpace, what: str) -> None:
-    if not ss.is_siso:
-        raise InvalidInput("%s supports single-input single-output systems only" % what)
+        return "StateSpace(n=%d)" % self.n
 
 
 def as_state_space(system: StateSpace | RationalFunction) -> StateSpace:
@@ -169,14 +146,13 @@ def _charpoly(w: np.ndarray) -> np.ndarray:
 
 
 def tf_of(ss: StateSpace) -> RationalFunction:
-    """Transfer function C (sI - A)^-1 B + D of a SISO system.
+    """Transfer function C (sI - A)^-1 B + D of a system.
 
     Uses the determinant identity det(sI - A + BC) = det(sI - A) * (1 + G0)
     for the strictly proper part G0, with B and C normalized to unit scale so
     the char-poly difference is computed at matched magnitudes.  Only the
     perturbed matrix is eigensolved; the denominator is the cached poles().
     """
-    require_siso(ss, "tf_of")
     d = float(ss.D[0, 0])
     if ss.n == 0:
         return RationalFunction([d], [1.0])
@@ -212,16 +188,17 @@ def modal_split(ss: StateSpace, region: Strip | Line) -> ModalSplit:
     """Split a system into subsystems with spectra on either side of a strip,
     read off the system's cached Schur form (matkernel.split_spectrum) at
     the region's smaller rate: B and C map through the split's closed-form
-    inverse and its transform.  A pole on the line or in the closed strip
-    raises PoleOnLine or PoleInStrip (regions._pole_guard)."""
+    inverse and its transform.  Each part, like every StateSpace, has one
+    input and one output by construction, and no feedthrough.  A pole on
+    the line or in the closed strip raises PoleOnLine or PoleInStrip
+    (regions._pole_guard)."""
     p = _pole_guard(ss.poles(), region)
     split = matkernel.split_spectrum(ss.schur, _rates(region)[0], p)
     T = split.transform
     Bt = split.inverse @ ss.B
     Ct = ss.C @ T
-    zero_d = np.zeros((ss.n_outputs, ss.n_inputs))
-    plus = StateSpace(split.T[:p, :p], Bt[:p, :], Ct[:, :p], zero_d)
-    minus = StateSpace(split.T[p:, p:], Bt[p:, :], Ct[:, p:], zero_d)
+    plus = StateSpace(split.T[:p, :p], Bt[:p, :], Ct[:, :p], [[0.0]])
+    minus = StateSpace(split.T[p:, p:], Bt[p:, :], Ct[:, p:], [[0.0]])
     return ModalSplit(transform=T, plus=plus, minus=minus, p=p)
 
 
@@ -232,7 +209,6 @@ def impulse_response(ss: StateSpace, strip: Strip, t: float) -> float:
     and the backward (t <= 0) branch by the modes right of it; this is the
     unique pairing whose transform converges on the strip.
     """
-    require_siso(ss, "impulse_response")
     if not math.isfinite(t):
         raise InvalidInput("time must be finite")
     split = modal_split(ss, strip)
@@ -297,7 +273,6 @@ def convolve(ss: StateSpace, strip: Strip, u: SampledSignal) -> SampledSignal:
     window end (by steps of -dt along the reversed signal).  The input is
     taken to vanish outside its window.
     """
-    require_siso(ss, "convolve")
     split = modal_split(ss, strip)
     vals = u.values
     y = np.zeros(vals.size)

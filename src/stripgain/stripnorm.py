@@ -35,7 +35,7 @@ from .errors import (
 )
 from .rational import Polynomial, RationalFunction, partial_fractions, recombine
 from .regions import Line, Strip, _pole_guard
-from .statespace import StateSpace, as_state_space, require_siso, tf_of
+from .statespace import StateSpace, as_state_space, tf_of
 
 TAU_HAM = 1e-7
 
@@ -91,7 +91,6 @@ def frequency_response(system: StateSpace, lam, omegas):
     s = -lam + 1j * omegas
     if system._tf is not None:
         return system._tf.eval_unchecked(s)
-    require_siso(system, "frequency_response")
     T, b, c = system.response_form
     s = np.asarray(s)
     flat = s.reshape(-1)
@@ -153,13 +152,12 @@ def line_norm_grid(system: StateSpace | RationalFunction, line: Line) -> NormRes
     infinite frequency competes as a candidate as well.
     """
     ss = as_state_space(system)
-    require_siso(ss, "line_norm_grid")
     _pole_guard(ss.poles(), line)
     return _grid_sup(ss, line)
 
 
 def _grid_sup(ss: StateSpace, line: Line) -> NormResult:
-    """line_norm_grid of a SISO system with no pole on the line, unchecked."""
+    """line_norm_grid of a system with no pole on the line, unchecked."""
     limit = abs(float(ss.D[0, 0]))
     omegas = coarse_grid(ss.poles(), GRID_POINTS)
     vals = np.abs(frequency_response(ss, line.lam, omegas))
@@ -231,7 +229,6 @@ def _require_finite(finite, gamma) -> None:
 def build_hamiltonian(ss: StateSpace, gamma: float, line: Line) -> np.ndarray:
     """The Hamiltonian (2n x 2n) whose imaginary-axis eigenvalues mark the
     frequencies where |G(-lam + i omega)| crosses the level gamma."""
-    require_siso(ss, "build_hamiltonian")
     if ss.n == 0:
         raise InvalidInput("Hamiltonian requires at least one state")
     H = _hamiltonians(
@@ -405,7 +402,7 @@ def _level_search(A, B, C, D, poles, lams, tol: float, response) -> list[NormRes
 
 
 def _line_searches(ss: StateSpace, lines, tol: float) -> list[NormResult]:
-    """line_norm_bisection on each of the given lines of one SISO system,
+    """line_norm_bisection on each of the given lines of one system,
     whose poles the caller has kept off them, run as one batch: every step
     makes one stacked eigensolve and one response call for all lines."""
     K = len(lines)
@@ -435,7 +432,6 @@ def line_norm_bisection(
     kept from the bisection this iteration replaced.
     """
     ss = as_state_space(system)
-    require_siso(ss, "line_norm_bisection")
     _require_tol(tol)
     _pole_guard(ss.poles(), line)
     return _line_searches(ss, [line], tol)[0]
@@ -446,7 +442,6 @@ def singular_value_test(
 ) -> bool:
     """Whether gamma is attained as |G(-lam + i omega0)| according to the
     Hamiltonian criterion: the shifted test matrix is singular at i omega0."""
-    require_siso(ss, "singular_value_test")
     if not math.isfinite(omega0):
         raise InvalidInput("test frequency must be finite")
     H = build_hamiltonian(ss, gamma, line)
@@ -472,17 +467,14 @@ def strip_norm(
     ss = as_state_space(system)
     _pole_guard(ss.poles(), strip)  # it covers the edges too
     if method == "bisection":
-        require_siso(ss, "line_norm_bisection")
         _require_tol(tol)
-    elif method == "grid":
-        require_siso(ss, "line_norm_grid")
-    else:
+    elif method != "grid":
         raise InvalidInput("unknown method %r (expected 'grid' or 'bisection')" % method)
     return _strip_sup(ss, strip, method, tol)
 
 
 def _strip_sup(ss: StateSpace, strip: Strip, method: str, tol: float) -> NormResult:
-    """strip_norm of a SISO system with no pole on the closed strip, unchecked."""
+    """strip_norm of a system with no pole on the closed strip, unchecked."""
     edges = (strip.lower_line, strip.upper_line)
     if method == "grid":
         lo_res, hi_res = (_grid_sup(ss, line) for line in edges)
@@ -515,7 +507,6 @@ def h2_line_norm(G: StateSpace | RationalFunction, line: Line) -> float:
     ss = as_state_space(G) if isinstance(G, StateSpace) or G.is_proper else None
     if ss is None or ss.D.any():
         raise DivergentIntegral("line energy norm diverges unless strictly proper")
-    require_siso(ss, "h2_line_norm")
     p, n = _pole_guard(ss.poles(), line), ss.n
     split = matkernel.split_spectrum(ss.schur, line.lam, p)
     T, w = split.T + line.lam * np.eye(n), split.w + line.lam

@@ -216,6 +216,21 @@ def test_malformed_model_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv", [["dominance", "--p", "1", "--rate", "0"], ["norm", "--line", "0"]]
+)
+def test_a_two_input_model_is_refused_at_load(capsys, tmp_path, argv):
+    path = write_model(
+        tmp_path / "two.json",
+        {"kind": "ss", "A": [[1.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+         "C": [[1.0, 1.0]], "D": [[0.0, 0.0]]},
+    )
+    code = main([argv[0], path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "error: %s.B[0] must have 1 entries, got 2\n" % path in captured.err
+
+
 def test_bad_strip_exits_3(capsys, first_order):
     code, _ = run(capsys, ["norm", first_order, "--strip", "2,1"])
     assert code == 3

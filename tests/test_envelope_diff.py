@@ -50,11 +50,12 @@ def test_error_paths_reach_both_error_codes_and_capture_each_error_line(tmp_path
     tool = _tool()
     ops = tool.error_ops(str(tmp_path))
     outputs = tool.run_checkout(tool.ROOT, ops, str(tmp_path), "change")
-    assert len(ops) == 20
+    assert len(ops) == 21
     assert {out["rc"] for out in outputs} == {2, 3}
     errors = {name: out["stderr"] for (_, _, name, _), out in zip(ops, outputs)}
     assert "dominance at rate 0 is marginal" in errors["scale: dominance --p 0 --rate 0"]
     assert "lies on the line Re(s) = -0" in errors["scale: norm --line 0"]
+    assert "B[0] must have 1 entries, got 2" in errors["two-input: dominance --p 1 --rate 0"]
     for (workload, _, name, _), out in zip(ops, outputs):
         assert workload == "errors" and tool.kind_of(workload, name) == "error paths"
         assert re.fullmatch(r"error: [^\n]+\n", out["stderr"]), name

@@ -219,6 +219,7 @@ def _close_pair_poles(centre, gap, shape):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(pairs=[(-1.0, -6.0, "real")], seed=0)
+@example(pairs=[(-2.0, -6.0, "real"), (0.0, -8.0, "line")], seed=0)
 def test_bands_and_line_splits_read_the_poles_the_expansion_reads(pairs, seed):
     """Poles 1e-9 to 1e-5 apart, which the expansion may cluster: every
     band roc_options lists inverts, and transforms back to that band, and

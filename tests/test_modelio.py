@@ -37,6 +37,8 @@ def _ss(**fields):
         ({"B": 5.0}, "m.B must be a list of rows"),
         ({"C": [[1.0, -float("inf")]]}, "m.C[0][1] must be finite"),
         ({"D": [[True]]}, "m.D[0][0] is not a number"),
+        ({"B": [[1.0, 0.0], [0.0, 1.0]]}, "m.B[0] must have 1 entries, got 2"),
+        ({"D": [[0.0], [0.0]]}, "m.D must have 1 rows, got 2"),
     ],
 )
 def test_matrix_rejections_name_the_entry(fields, message):

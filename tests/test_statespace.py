@@ -31,7 +31,7 @@ def two_sided_example():
 def test_realize_dimensions_and_poles():
     G = RationalFunction([1.0, 2.0], [2.0, 3.0, 1.0])
     ss = realize(G)
-    assert ss.n == 2 and ss.is_siso
+    assert ss.n == 2 and ss.B.shape == (2, 1) and ss.C.shape == (1, 2) and ss.D.shape == (1, 1)
     assert np.allclose(sorted(ss.poles().real), [-2.0, -1.0], atol=1e-9)
     # one eigensolve per system; the cached spectrum cannot be changed
     assert ss.poles() is ss.poles() and not ss.poles().flags.writeable
@@ -88,6 +88,18 @@ def test_state_space_takes_2d_arrays_only():
         StateSpace([[-1.0]], [1.0], [[1.0]], [[0.0]])
     with pytest.raises(InvalidInput, match="D must be 2-D, got ndim 0"):
         StateSpace([[-1.0]], [[1.0]], [[1.0]], 0.0)
+
+
+def test_state_space_has_one_input_and_one_output():
+    A = [[-1.0, 0.5], [0.0, -2.0]]
+    B, C, D = [[1.0], [0.0]], [[1.0, 1.0]], [[0.0]]
+    with pytest.raises(InvalidInput, match=r"^B must have shape \(2, 1\), got \(2, 2\)$"):
+        StateSpace(A, [[1.0, 0.0], [0.0, 1.0]], C, D)
+    with pytest.raises(InvalidInput, match=r"^C must have shape \(1, 2\), got \(2, 2\)$"):
+        StateSpace(A, B, [[1.0, 1.0], [0.0, 1.0]], D)
+    with pytest.raises(InvalidInput, match=r"^D must have shape \(1, 1\), got \(1, 2\)$"):
+        StateSpace(A, B, C, [[0.0, 0.0]])
+    assert repr(StateSpace(A, B, C, D)) == "StateSpace(n=2)"
 
 
 def test_realize_rejects_improper():

@@ -81,12 +81,14 @@ ERROR_MODELS = {
     "peak": {"kind": "tf", "num": [1e200], "den": [1.0, 0.1, 1.0]},
     "huge": {"kind": "ss", "A": [[-1e300, 1e300], [1e300, -1e300]], "B": [[1.0], [0.0]],
              "C": [[1.0, 0.0]], "D": [[0.0]]},
+    "two-input": {"kind": "ss", "A": [[1.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+                  "C": [[1.0, 1.0]], "D": [[0.0, 0.0]]},
 }
 # (name, argv) of each: example-sec5's input errors, a malformed model file,
 # one operation per typed analysis error the CLI prints, two level tests
-# whose Hamiltonian overflows, and the zero eigenvalue of a matrix of norm
-# 2e300, computed as 2.2e284, on a rate line; "{model}" is the path of
-# ERROR_MODELS[model].
+# whose Hamiltonian overflows, the zero eigenvalue of a matrix of norm
+# 2e300, computed as 2.2e284, on a rate line, and a model with two inputs,
+# which the loader refuses; "{model}" is the path of ERROR_MODELS[model].
 ERROR_OPS = [
     ("example-sec5 --tau -1", ["example-sec5", "--tau", "-1"]),
     ("example-sec5 --d 0", ["example-sec5", "--d", "0"]),
@@ -109,6 +111,8 @@ ERROR_OPS = [
     ("overflow: example-sec5 --ki 1e300", ["example-sec5", "--ki", "1e300"]),
     ("scale: dominance --p 0 --rate 0", ["dominance", "{huge}", "--p", "0", "--rate", "0"]),
     ("scale: norm --line 0", ["norm", "{huge}", "--line", "0"]),
+    ("two-input: dominance --p 1 --rate 0",
+     ["dominance", "{two-input}", "--p", "1", "--rate", "0"]),
 ]
 
 
