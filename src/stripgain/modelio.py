@@ -112,13 +112,9 @@ def load_model(path: str):
 
 
 def float_repr(x: float) -> str:
-    """17-significant-digit decimal form; nonfinite values spelled out."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return "%.17g" % x
+    """17-significant-digit decimal form; %.17g spells the nonfinite values
+    nan, inf and -inf."""
+    return "%.17g" % float(x)
 
 
 def json_text(obj, indent: int = 0) -> str:

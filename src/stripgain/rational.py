@@ -4,7 +4,9 @@ Coefficients are stored in ascending order (c[k] multiplies s**k), real only.
 Rational functions are normalized to a monic denominator on construction and
 near-common roots are cancelled best effort; a cancellation is kept only when
 it provably leaves evaluations unchanged to within TAU_EVAL relative, and the
-cancelled roots are recorded on the instance.
+cancelled roots are recorded on the instance.  A polynomial's roots are
+read off the one Schur form of its balanced companion, which a transfer
+function's realization shares with its denominator.
 """
 
 from __future__ import annotations
@@ -100,44 +102,57 @@ class Polynomial:
     def __repr__(self):
         return "Polynomial(%r)" % (list(self.coeffs),)
 
+    @cached_property
+    def companion(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, t), computed once: the controllable canonical companion of the
+        polynomial made monic (ones on the superdiagonal, bottom row
+        -c[:n] / lead) balanced to inv(T) A T, T = diag(t)
+        (matkernel.balance); A read-only."""
+        n = self.degree
+        A, t = np.eye(n, k=1), np.ones(n)
+        if n:
+            A[n - 1, :] = -np.asarray(self.coeffs[:n]) / self.lead
+            A, t = matkernel.balance(A)
+        A.setflags(write=False)
+        return A, t
+
+    @cached_property
+    def schur(self) -> matkernel.RealSchur:
+        """The one real Schur form of the companion's A, computed on first
+        use: roots reads the roots off it, and the realization of a transfer
+        function with this denominator its poles (realize)."""
+        return matkernel.real_schur(self.companion[0])
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """All complex roots, sorted by (real, imag), read-only: schur's
+        eigenvalues, computed once.  A stable eigensolve's roots are exact for
+        coefficients perturbed by O(eps * norm), so |p(r)| may reach TAU_ROOT
+        * (1 + coefficient norm) * max(1, |r|)^degree; a root beyond that
+        raises NumericalFailure rather than returning junk."""
+        if self.is_zero:
+            raise InvalidInput("the zero polynomial has no well-defined root set")
+        n = self.degree
+        roots = np.sort_complex(self.schur.w) if n else np.zeros(0, dtype=complex)
+        scale = 1.0 + float(np.linalg.norm(self.coeffs))
+        allowed = TAU_ROOT * scale * np.maximum(1.0, np.abs(roots)) ** n
+        resid = np.abs(self(roots))
+        if (resid > allowed).any():
+            k = int(np.argmax(resid / allowed))
+            raise NumericalFailure(
+                "root residual %.3e exceeds %.3e" % (resid[k], allowed[k])
+            )
+        roots.setflags(write=False)
+        return roots
+
 
 def poly_roots(p: Polynomial | Sequence[float]) -> np.ndarray:
-    """All complex roots of p via companion-matrix eigenvalues.
-
-    Each returned root r is verified against the backward-error model: a
-    stable eigensolve returns exact roots of a polynomial with coefficients
-    perturbed by O(eps * norm), so |p(r)| may legitimately reach
-    TAU_ROOT * (1 + coefficient norm) * max(1, |r|)^degree.  A residual
-    beyond that means the companion eigensolve went wrong and raises
-    NumericalFailure rather than returning junk.
-    """
-    poly = p if isinstance(p, Polynomial) else Polynomial(p)
-    if poly.is_zero:
-        raise InvalidInput("the zero polynomial has no well-defined root set")
-    n = poly.degree
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    monic = np.asarray(poly.coeffs) / poly.lead
-    comp = np.zeros((n, n))
-    if n > 1:
-        comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -monic[:-1]
-    roots = matkernel.eig(comp)
-    scale = 1.0 + float(np.linalg.norm(poly.coeffs))
-    allowed = TAU_ROOT * scale * np.maximum(1.0, np.abs(roots)) ** n
-    resid = np.abs(poly(roots))
-    if resid.size and (resid > allowed).any():
-        k = int(np.argmax(resid / allowed))
-        raise NumericalFailure(
-            "root residual %.3e exceeds %.3e" % (resid[k], allowed[k])
-        )
-    return roots
+    """Polynomial.roots of p: sorted, gated and read-only."""
+    return (p if isinstance(p, Polynomial) else Polynomial(p)).roots
 
 
 def _poly_from_roots(roots: Sequence[complex], lead: float) -> Polynomial:
     """Real polynomial with the given (conjugate-closed) root multiset."""
-    if len(roots) == 0:
-        return Polynomial((lead,))
     coeffs = npp.polyfromroots(np.asarray(roots, dtype=complex)) * lead
     return Polynomial(coeffs.real)
 
@@ -150,16 +165,10 @@ class RationalFunction:
         den_p = den if isinstance(den, Polynomial) else Polynomial(den)
         if den_p.is_zero:
             raise InvalidInput("denominator must not be the zero polynomial")
-        if num_p.is_zero:
-            self.num = Polynomial((0.0,))
-            self.den = Polynomial((1.0,))
-            self.cancelled: tuple[complex, ...] = ()
-            return
+        if num_p.is_zero:  # kept as 0 / 1
+            num_p, den_p = Polynomial((0.0,)), Polynomial((1.0,))
         scale = 1.0 / den_p.lead
-        self.num, self.den, self.cancelled, poles = _reduce(num_p.scale(scale), den_p.scale(scale))
-        if poles is not None:
-            poles.setflags(write=False)
-            self.__dict__["poles"] = poles  # fills the cached property below
+        self.num, self.den, self.cancelled = _reduce(num_p.scale(scale), den_p.scale(scale))
 
     @property
     def num_degree(self) -> int:
@@ -181,12 +190,12 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @cached_property
+    @property
     def poles(self) -> np.ndarray:
-        """Denominator roots sorted by (real, imag), read-only."""
-        roots = poly_roots(self.den) if self.den.degree else np.zeros(0, dtype=complex)
-        roots.setflags(write=False)
-        return roots
+        """The denominator's roots (Polynomial.roots), read-only: the sorted
+        spectrum of its one Schur form, which its realization shares, so
+        that realize(G).poles() is these bytes."""
+        return self.den.roots
 
     def eval_unchecked(self, s):
         """Evaluate num(s) / den(s), vectorized, with no check of the distance to a pole."""
@@ -211,10 +220,7 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def __repr__(self):
-        return "RationalFunction(num=%r, den=%r)" % (
-            list(self.num.coeffs),
-            list(self.den.coeffs),
-        )
+        return "RationalFunction(num=%r, den=%r)" % (list(self.num.coeffs), list(self.den.coeffs))
 
 
 def _sample_points(num: Polynomial, den: Polynomial) -> np.ndarray:
@@ -230,9 +236,10 @@ def _sample_points(num: Polynomial, den: Polynomial) -> np.ndarray:
 
 def _reduce(num: Polynomial, den: Polynomial):
     """Cancel near-common roots if doing so is evaluation-neutral; returns
-    (num, den, cancelled roots, roots of that den or None if not computed)."""
+    (num, den, cancelled roots).  A reduced den's roots are its own, not the
+    roots that were kept."""
     if num.degree == 0 or den.degree == 0:
-        return num, den, (), None
+        return num, den, ()
     roots = poly_roots(den)
     # A root of num that poly_roots accepts within TAU_GCD (1 + |r|) of a pole r
     # leaves |num(r)| below its residual gate, plus that distance times |num'|
@@ -241,31 +248,25 @@ def _reduce(num: Polynomial, den: Polynomial):
     reach = np.maximum(1.0, np.abs(roots) + TAU_GCD * (1.0 + np.abs(roots)))
     gate = (TAU_ROOT + 2 * m * (TAU_GCD + np.finfo(float).eps)) * size * reach**m
     if (np.abs(num(roots)) > gate).all():  # then nothing can cancel
-        return num, den, (), roots
-    keep_n = list(poly_roots(num))
-    keep_d = []
-    cancelled = []
+        return num, den, ()
+    keep_n, keep_d, cancelled = list(poly_roots(num)), [], []
     for r in roots:
-        hit = None
-        for k, z in enumerate(keep_n):
-            if abs(z - r) <= TAU_GCD * (1.0 + abs(r)):
-                hit = k
-                break
+        hit = next((k for k, z in enumerate(keep_n) if abs(z - r) <= TAU_GCD * (1 + abs(r))), None)
         if hit is None:
             keep_d.append(r)
         else:
             keep_n.pop(hit)
             cancelled.append(r)
     if not cancelled:
-        return num, den, (), roots
+        return num, den, ()
     new_num = _poly_from_roots(keep_n, num.lead)
     new_den = _poly_from_roots(keep_d, den.lead)
     pts = _sample_points(num, den)
     ref = num(pts) / den(pts)
     red = new_num(pts) / new_den(pts)
     if np.all(np.abs(red - ref) <= TAU_EVAL * (1.0 + np.abs(ref))):
-        return new_num, new_den, tuple(cancelled), np.array(keep_d, dtype=complex)
-    return num, den, (), roots
+        return new_num, new_den, tuple(cancelled)
+    return num, den, ()
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,10 @@ class StateSpace:
         """Real Schur form A = Z T Z' (LAPACK dgees), the one factorisation of
         A, computed once (the matrices are read-only): poles() are its
         eigenvalues, frequency responses read their complex triangular form
-        off it (response_form), certificates and modal splits reorder it."""
-        return matkernel.real_schur(self.A)
+        off it (response_form), certificates and modal splits reorder it.  A
+        realization's A is its denominator's companion, and its form is the
+        denominator's (Polynomial.schur), which the tf's own poles read too."""
+        return matkernel.real_schur(self.A) if self._tf is None else self._tf.den.schur
 
     @cached_property
     def response_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,26 +110,26 @@ def as_state_space(system: StateSpace | RationalFunction) -> StateSpace:
 
 def realize(G: RationalFunction) -> StateSpace:
     """The one conversion of a proper rational function, kept as _tf, whose
-    polynomials frequency_response evaluates: its controllable canonical A,
-    B, C balanced to inv(T) A T, inv(T) B, C T (matkernel.balance, T = diag(t), kept as _t)."""
+    polynomials frequency_response evaluates: A is its denominator's
+    balanced companion inv(T) A0 T (Polynomial.companion, T = diag(t), kept
+    as _t), with B and C the controllable canonical ones as inv(T) B0 and
+    C0 T, and its Schur form is the denominator's, so its poles() are G.poles."""
     if not G.is_proper:
         raise ImproperTransferFunction(
             "numerator degree %d exceeds denominator degree %d"
             % (G.num_degree, G.den_degree)
         )
-    n = G.den_degree
-    den = np.asarray(G.den.coeffs)
+    n, den = G.den_degree, np.asarray(G.den.coeffs)
     if G.num_degree == n:
         d = G.num.lead / G.den.lead
         rem = Polynomial.from_computed(np.polynomial.polynomial.polysub(G.num.coeffs, d * den))
     else:
         d, rem = 0.0, G.num
-    A, B, C, t = np.eye(n, k=1), np.zeros((n, 1)), np.zeros((1, n)), np.ones(n)
+    A, t = G.den.companion
+    B, C = np.zeros((n, 1)), np.zeros((1, n))
     if n:
-        A[n - 1, :] = -den[:n]
         B[n - 1, 0] = 1.0
         C[0, : rem.degree + 1] = rem.coeffs[:n]
-        A, t = matkernel.balance(A)
     ss = StateSpace(A, B / t[:, None], C * t, [[d]])
     ss._tf, ss._t = G, t
     return ss

@@ -590,7 +590,28 @@ def test_csv_lines_matches_per_cell_float_repr():
         ["a,b,c,d,e"] + [",".join(float_repr(float(x)) for x in row) for row in rows]
     ) + "\n"
     assert cli._csv_lines("a,b,c,d,e", rows) == reference
+    assert reference.splitlines()[1] == "0,nan,inf,-inf,-0"
     assert cli._csv_lines("omega", np.zeros((0, 1))) == "omega\n"
+
+
+def test_a_triple_pole_gets_one_on_line_verdict_from_every_verb(capsys, tmp_path):
+    """1/(s + 1)^3 has one spectrum: on the line through each real part of
+    its realization's poles, and of the eigenvalues of its column companion
+    (ones on the subdiagonal, last column -den, which spreads the triple
+    root differently by up to 1e-5), the table's pole guard and the grid
+    norm reach one verdict."""
+    den = [1.0, 3.0, 3.0, 1.0]
+    model = write_model(tmp_path / "cube.json", {"kind": "tf", "num": [1.0], "den": den})
+    column = np.eye(3, k=-1)
+    column[:, -1] = -np.asarray(den[:3])
+    poles = np.concatenate(
+        [realize(RationalFunction([1.0], den)).poles(), np.linalg.eigvals(column)]
+    )
+    for rate in sorted(set(-poles.real)):
+        line = float_repr(rate)
+        nyquist = run(capsys, ["nyquist", model, "--line", line, "--points", "5"])[0]
+        norm = run(capsys, ["norm", model, "--line", line, "--method", "grid"])[0]
+        assert nyquist == norm, line
 
 
 def test_shared_parser_carries_nothing_between_calls(capsys, tmp_path, unstable):

@@ -70,6 +70,25 @@ def test_reduction_solves_for_numerator_roots_only_near_a_pole(monkeypatch):
     assert np.allclose(H.poles, [-3.0, -2.0])
 
 
+@pytest.mark.parametrize(
+    "num, den, poles",
+    [([1.0, 1.0], [2.0, 3.0, 1.0], [-2.0]), ([2.0, 0.0, 0.0, 1.0], [2.0, 3.0, 1.0], [-2.0, -1.0])],
+    ids=["cancelled", "improper"],
+)
+def test_poles_are_the_sorted_spectrum_of_the_denominator_form(num, den, poles):
+    """(s + 1) / ((s + 1)(s + 2)) and (s^3 + 2) / ((s + 1)(s + 2)): the
+    poles are the sorted spectrum of the one Schur form of the (reduced)
+    denominator's balanced companion."""
+    G = RationalFunction(num, den)
+    n = G.den_degree
+    A, t = G.den.companion
+    C = np.eye(n, k=1)
+    C[-1] = -np.asarray(G.den.coeffs[:n])
+    assert np.array_equal(A, C * t / t[:, None]) and G.den.schur.A is A
+    assert G.poles.tobytes() == np.sort_complex(G.den.schur.w).tobytes()
+    assert np.allclose(G.poles, poles, rtol=0.0, atol=1e-12)
+
+
 def test_rational_arithmetic_matches_pointwise():
     G = RationalFunction([1.0], [1.0, 1.0])
     H = RationalFunction([0.0, 1.0], [2.0, 0.0, 1.0])

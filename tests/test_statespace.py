@@ -39,10 +39,10 @@ def test_realize_dimensions_and_poles():
 
 def test_poles_are_the_sorted_spectrum_of_the_one_schur_form(monkeypatch):
     """A state-space model and a realized tf alike read poles() off their
-    one real Schur form: one factorisation each, and no eigensolve of A."""
+    one real Schur form: one factorisation each, the tf's made as it is
+    loaded and shared with its own poles, and no eigensolve of A."""
     from stripgain import matkernel
 
-    G = RationalFunction([1.0, 2.0], [5.0, -3.0, 2.0, 1.0])
     A = [[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.5], [0.0, 0.0, 3.0]]
     calls = {"eig": 0, "real_schur": 0}
 
@@ -55,9 +55,16 @@ def test_poles_are_the_sorted_spectrum_of_the_one_schur_form(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(matkernel, name, counted(name, getattr(matkernel, name)))
-    for ss in (StateSpace(A, [[1.0], [0.0], [1.0]], [[1.0, 1.0, 0.0]], [[0.0]]), realize(G)):
+    models = (
+        lambda: StateSpace(A, [[1.0], [0.0], [1.0]], [[1.0, 1.0, 0.0]], [[0.0]]),
+        lambda: realize(RationalFunction([1.0, 2.0], [5.0, -3.0, 2.0, 1.0])),
+    )
+    for model in models:
         before = dict(calls)
+        ss = model()
         w = ss.poles()
+        if ss._tf is not None:
+            assert ss.schur is ss._tf.den.schur and ss._tf.poles.tobytes() == w.tobytes()
         assert ss.schur is ss.schur and ss.poles() is w
         assert w.tobytes() == np.sort_complex(ss.schur.w).tobytes()
         assert (calls["eig"], calls["real_schur"]) == (before["eig"], before["real_schur"] + 1)

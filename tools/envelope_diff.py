@@ -83,12 +83,16 @@ ERROR_MODELS = {
              "C": [[1.0, 0.0]], "D": [[0.0]]},
     "two-input": {"kind": "ss", "A": [[1.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
                   "C": [[1.0, 1.0]], "D": [[0.0, 0.0]]},
+    "cube": {"kind": "tf", "num": [1.0], "den": [1.0, 3.0, 3.0, 1.0]},
 }
 # (name, argv) of each: example-sec5's input errors, a malformed model file,
 # one operation per typed analysis error the CLI prints, two level tests
 # whose Hamiltonian overflows, the zero eigenvalue of a matrix of norm
-# 2e300, computed as 2.2e284, on a rate line, and a model with two inputs,
-# which the loader refuses; "{model}" is the path of ERROR_MODELS[model].
+# 2e300, computed as 2.2e284, on a rate line, a model with two inputs,
+# which the loader refuses, and the table and the grid norm of 1/(s + 1)^3
+# on two lines within 1e-5 of its triple pole, where the computed roots
+# scatter (one on-line verdict each); "{model}" is the path of
+# ERROR_MODELS[model].
 ERROR_OPS = [
     ("example-sec5 --tau -1", ["example-sec5", "--tau", "-1"]),
     ("example-sec5 --d 0", ["example-sec5", "--d", "0"]),
@@ -113,6 +117,10 @@ ERROR_OPS = [
     ("scale: norm --line 0", ["norm", "{huge}", "--line", "0"]),
     ("two-input: dominance --p 1 --rate 0",
      ["dominance", "{two-input}", "--p", "1", "--rate", "0"]),
+] + [
+    ("cube: %s --line %s" % (verb, rate), [verb, "{cube}", "--line", rate] + extra)
+    for rate in ("0.99999179", "0.99999101")
+    for verb, extra in (("nyquist", ["--points", "5"]), ("norm", ["--method", "grid"]))
 ]
 
 
