@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     InvalidInput,
     NoCommonROC,
-    NumericalFailure,
     PoleInROC,
     Unsupported,
 )
@@ -26,6 +25,7 @@ from .rational import (
     PartialFractionTerm,
     Polynomial,
     RationalFunction,
+    _real,
     partial_fractions,
     recombine,
 )
@@ -33,8 +33,6 @@ from .regions import Strip, _on_band
 
 CAUSAL = "causal"
 ANTICAUSAL = "anticausal"
-
-TAU_IMAG = 1e-8
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,6 @@ def forward(spec: SignalSpec) -> LaplacePair:
             "causal terms require Re(s) > %g while anticausal terms require "
             "Re(s) < %g" % (lo, hi)
         )
-    if not pf_terms:
-        return LaplacePair(RationalFunction([0.0], [1.0]), ROC(lo, hi))
     F = recombine(Polynomial((0.0,)), pf_terms)
     return LaplacePair(F, ROC(lo, hi))
 
@@ -188,8 +184,6 @@ def inverse(F: RationalFunction, roc: ROC) -> SignalSpec:
         raise InvalidInput("inverse expects a RationalFunction")
     if not isinstance(roc, ROC):
         raise InvalidInput("inverse expects an ROC")
-    if F.is_zero:
-        return SignalSpec(())
     if not F.is_strictly_proper:
         raise Unsupported(
             "only strictly proper transforms invert to exponential-polynomial "
@@ -223,15 +217,6 @@ def inverse(F: RationalFunction, roc: ROC) -> SignalSpec:
     return SignalSpec(tuple(out))
 
 
-def _real_part(total: complex, scale: float) -> float:
-    if abs(total.imag) > TAU_IMAG * (1.0 + scale):
-        raise NumericalFailure(
-            "signal value has a non-negligible imaginary part %g; complex "
-            "terms are not conjugate-closed" % total.imag
-        )
-    return float(total.real)
-
-
 def eval_signal(spec: SignalSpec, t: float) -> float:
     """Pointwise value of a signal; at t = 0 the average of the two one-sided
     limits is returned."""
@@ -250,12 +235,12 @@ def eval_signal(spec: SignalSpec, t: float) -> float:
         )
         total = 0.5 * (right + left)
         scale = max(abs(right), abs(left))
-        return _real_part(total, scale)
-    side = CAUSAL if t > 0 else ANTICAUSAL
-    total = 0j
-    scale = 0.0
-    for q in spec.side_terms(side):
-        val = complex(q.coefficient) * (t ** q.power) * np.exp(complex(q.rate) * t)
-        total += val
-        scale = max(scale, abs(val))
-    return _real_part(total, scale)
+    else:
+        total = 0j
+        scale = 0.0
+        for q in spec.side_terms(CAUSAL if t > 0 else ANTICAUSAL):
+            val = complex(q.coefficient) * (t ** q.power) * np.exp(complex(q.rate) * t)
+            total += val
+            scale = max(scale, abs(val))
+    message = "signal value is not real; complex terms are not conjugate-closed"
+    return float(_real(total, scale, message))

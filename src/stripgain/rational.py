@@ -6,7 +6,10 @@ near-common roots are cancelled best effort; a cancellation is kept only when
 it provably leaves evaluations unchanged to within TAU_EVAL relative, and the
 cancelled roots are recorded on the instance.  A polynomial's roots are
 read off the one Schur form of its balanced companion, which a transfer
-function's realization shares with its denominator.
+function's realization shares with its denominator.  A computation that is
+real in exact arithmetic because its complex inputs come in conjugate pairs
+(a polynomial from its roots, a recombined expansion, a signal's value) is
+checked by the one rule _real, which tf_of and laplace use too.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ TAU_EVAL = 1e-9
 
 # relative tolerance for merging nearly equal denominator roots into one
 # higher-order pole; companion-matrix roots of an m-fold root scatter by
-# roughly eps**(1/m), so this covers double and triple poles at desk scale
+# roughly eps**(1/m), so this covers double poles only: the roots of
+# (s + 1)^3 lie up to 1.6e-5 apart, beyond its radius 2e-6
 CLUSTER_TOL = 1e-6
 
 
@@ -151,10 +155,21 @@ def poly_roots(p: Polynomial | Sequence[float]) -> np.ndarray:
     return (p if isinstance(p, Polynomial) else Polynomial(p)).roots
 
 
+def _real(values, scale: float, message: str) -> np.ndarray:
+    """Real parts of a conjugate-symmetric computation: each imaginary part
+    must lie within 1e-8 * max(1, scale), else NumericalFailure(message)."""
+    values = np.asarray(values)
+    if (np.abs(values.imag) > 1e-8 * max(1.0, scale)).any():
+        raise NumericalFailure(message)
+    return values.real
+
+
 def _poly_from_roots(roots: Sequence[complex], lead: float) -> Polynomial:
-    """Real polynomial with the given (conjugate-closed) root multiset."""
+    """Real polynomial lead * prod (s - r) of a conjugate-closed root
+    multiset (_real's rule, at the coefficients' scale)."""
     coeffs = npp.polyfromroots(np.asarray(roots, dtype=complex)) * lead
-    return Polynomial(coeffs.real)
+    scale = float(np.max(np.abs(coeffs)))
+    return Polynomial(_real(coeffs, scale, "polynomial has unpaired complex roots"))
 
 
 class RationalFunction:
@@ -303,14 +318,17 @@ def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
     return out
 
 
-def _conjugate_pair_up(clusters: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
-    """Force exact conjugate symmetry on the clustered pole set."""
-    done: list[tuple[complex, int]] = []
+def _conjugate_pair_up(clusters: list[tuple[complex, int]]) -> list[tuple[complex, int, bool]]:
+    """Force exact conjugate symmetry on the clustered pole set: one
+    (pole, multiplicity, paired) entry per real pole or unmatched complex
+    cluster (paired False) and per matched pair, whose entry is the member
+    in the upper half plane (paired True)."""
+    done: list[tuple[complex, int, bool]] = []
     pending = clusters[:]
     while pending:
         pole, mult = pending.pop(0)
         if pole.imag == 0.0:
-            done.append((pole, mult))
+            done.append((pole, mult, False))
             continue
         mate = None
         for k, (q, qm) in enumerate(pending):
@@ -320,14 +338,13 @@ def _conjugate_pair_up(clusters: list[tuple[complex, int]]) -> list[tuple[comple
         if mate is None:
             # unmatched complex cluster: treat as-is (can happen only for
             # nearly-real poles that rounded to opposite sides)
-            done.append((pole, mult))
+            done.append((pole, mult, False))
             continue
         q, qm = pending.pop(mate)
         avg = 0.5 * (pole + q.conjugate())
         if avg.imag < 0:
             avg = avg.conjugate()
-        done.append((avg, mult))
-        done.append((avg.conjugate(), mult))
+        done.append((avg, mult, True))
     return done
 
 
@@ -371,20 +388,9 @@ def partial_fractions(G: RationalFunction):
     rem_poly = Polynomial.from_computed(rem)
     if rem_poly.is_zero:
         return poly_part, []
-    clusters = _conjugate_pair_up(_cluster_roots(G.poles))
     terms: list[PartialFractionTerm] = []
-    handled: set[int] = set()
     den_arr = np.asarray(G.den.coeffs, dtype=complex)
-    for idx, (pole, mult) in enumerate(clusters):
-        if idx in handled:
-            continue
-        handled.add(idx)
-        conj_idx = None
-        if pole.imag != 0.0:
-            for j, (q, qm) in enumerate(clusters):
-                if j not in handled and qm == mult and q == pole.conjugate():
-                    conj_idx = j
-                    break
+    for pole, mult, paired in _conjugate_pair_up(_cluster_roots(G.poles)):
         q_coeffs = _deflate(den_arr, pole, mult)
         num_taylor = _taylor(np.asarray(rem_poly.coeffs, dtype=complex), pole, mult)
         q_taylor = _taylor(q_coeffs, pole, mult)
@@ -404,38 +410,30 @@ def partial_fractions(G: RationalFunction):
             if pole.imag == 0.0:
                 coeff = complex(coeff.real, 0.0) if abs(coeff.imag) <= 1e-9 * (1 + abs(coeff)) else coeff
             terms.append(PartialFractionTerm(pole=pole, order=order, coefficient=coeff))
-            if conj_idx is not None:
+            if paired:
                 terms.append(
                     PartialFractionTerm(
                         pole=pole.conjugate(), order=order, coefficient=coeff.conjugate()
                     )
                 )
-        if conj_idx is not None:
-            handled.add(conj_idx)
     terms.sort(key=lambda t: (t.pole.real, t.pole.imag, t.order))
     return poly_part, terms
 
 
 def recombine(poly_part: Polynomial, terms: Sequence[PartialFractionTerm]) -> RationalFunction:
     """Sum a partial-fraction expansion back into a single rational function."""
-    den = Polynomial((1.0,))
-    seen: list[tuple[complex, int]] = []
+    seen: dict[complex, int] = {}  # pole: highest order, in order of appearance
     for t in terms:
-        for k, (pole, order) in enumerate(seen):
-            if pole == t.pole:
-                seen[k] = (pole, max(order, t.order))
-                break
-        else:
-            seen.append((t.pole, t.order))
+        seen[t.pole] = max(seen.get(t.pole, 0), t.order)
     full_roots: list[complex] = []
-    for pole, order in seen:
+    for pole, order in seen.items():
         full_roots.extend([pole] * order)
     den_c = npp.polyfromroots(np.asarray(full_roots, dtype=complex)) if full_roots else np.ones(1, dtype=complex)
     num_c = np.zeros(1, dtype=complex)
     term_scale = max(1.0, float(np.max(np.abs(den_c))))
     for t in terms:
         rest: list[complex] = []
-        for pole, order in seen:
+        for pole, order in seen.items():
             count = order - (t.order if pole == t.pole else 0)
             rest.extend([pole] * count)
         part = npp.polyfromroots(np.asarray(rest, dtype=complex)) if rest else np.ones(1, dtype=complex)
@@ -443,18 +441,18 @@ def recombine(poly_part: Polynomial, terms: Sequence[PartialFractionTerm]) -> Ra
         term_scale = max(term_scale, float(np.max(np.abs(summand))))
         num_c = npp.polyadd(num_c, summand)
     num_c = npp.polyadd(num_c, npp.polymul(np.asarray(poly_part.coeffs, dtype=complex), den_c))
-    imag_scale = max(1.0, float(np.max(np.abs(num_c))), float(np.max(np.abs(den_c))))
-    if max(float(np.max(np.abs(num_c.imag))), float(np.max(np.abs(den_c.imag)))) > 1e-8 * imag_scale:
-        raise NumericalFailure("recombined expansion is not real; conjugate terms missing")
+    coeffs = np.r_[num_c, den_c]
+    coeffs = _real(coeffs, float(np.max(np.abs(coeffs))),
+                   "recombined expansion is not real; conjugate terms missing")
+    num_r, den_r = coeffs[: num_c.size], coeffs[num_c.size:]
     # When the summed numerator genuinely drops degree, its top coefficients
     # cancel down to roundoff left over from large intermediate summands, so
     # the noise floor scales with the biggest residue-times-product magnitude
     # seen above, not with the surviving numerator entries.
     noise = 1e-12 * term_scale * max(1, len(terms))
-    num_r = np.array(num_c.real)
     while num_r.size > 1 and abs(num_r[-1]) <= noise:
         num_r = num_r[:-1]
     return RationalFunction(
         Polynomial.from_computed(num_r, rel_tol=1e-12),
-        Polynomial.from_computed(den_c.real, rel_tol=1e-12),
+        Polynomial.from_computed(den_r, rel_tol=1e-12),
     )

@@ -23,7 +23,7 @@ from .errors import (
     NumericalFailure,
     WindowTooShort,
 )
-from .rational import Polynomial, RationalFunction
+from .rational import Polynomial, RationalFunction, _poly_from_roots
 from .regions import Line, Strip, _pole_guard, _rates
 
 TAU_TAIL = 1e-6
@@ -135,18 +135,6 @@ def realize(G: RationalFunction) -> StateSpace:
     return ss
 
 
-def _charpoly(w: np.ndarray) -> np.ndarray:
-    """Monic polynomial with roots w (closed under conjugation), ascending
-    coefficients."""
-    coeffs = np.polynomial.polynomial.polyfromroots(w)
-    scale = float(np.max(np.abs(coeffs)))
-    if float(np.max(np.abs(coeffs.imag))) > 1e-8 * max(1.0, scale):
-        raise NumericalFailure("characteristic polynomial has unpaired complex roots")
-    out = coeffs.real.copy()
-    out[-1] = 1.0
-    return out
-
-
 def tf_of(ss: StateSpace) -> RationalFunction:
     """Transfer function C (sI - A)^-1 B + D of a system.
 
@@ -155,20 +143,14 @@ def tf_of(ss: StateSpace) -> RationalFunction:
     the char-poly difference is computed at matched magnitudes.  Only the
     perturbed matrix is eigensolved; the denominator is the cached poles().
     """
-    d = float(ss.D[0, 0])
-    if ss.n == 0:
-        return RationalFunction([d], [1.0])
-    den = _charpoly(ss.poles())
+    den = _poly_from_roots(ss.poles(), 1.0)
+    num = den.scale(float(ss.D[0, 0]))
     sb = float(np.linalg.norm(ss.B))
     sc = float(np.linalg.norm(ss.C))
-    if sb == 0.0 or sc == 0.0:
-        num = d * den
-    else:
-        pert = _charpoly(matkernel.eig(ss.A - (ss.B / sb) @ (ss.C / sc)))
-        num = (sb * sc) * (pert - den) + d * den
-    return RationalFunction(
-        Polynomial.from_computed(num), Polynomial.from_computed(den, rel_tol=0.0)
-    )
+    if sb and sc:
+        pert = _poly_from_roots(matkernel.eig(ss.A - (ss.B / sb) @ (ss.C / sc)), 1.0)
+        num = (pert - den).scale(sb * sc) + num
+    return RationalFunction(Polynomial.from_computed(num.coeffs), den)
 
 
 @dataclass(frozen=True)

@@ -542,9 +542,7 @@ def decompose_line(G: StateSpace | RationalFunction, line: Line):
     mterms = [t for t in terms if t.pole.real < -line.lam]
     pterms = [t for t in terms if t.pole.real > -line.lam]
     zero = Polynomial((0.0,))
-    g_minus = recombine(zero, mterms) if mterms else RationalFunction([0.0], [1.0])
-    g_plus = recombine(zero, pterms) if pterms else RationalFunction([0.0], [1.0])
-    return g_minus, g_plus
+    return recombine(zero, mterms), recombine(zero, pterms)
 
 
 def frequency_response_data(

@@ -126,6 +126,16 @@ def test_smallgain_conclusive(capsys, tmp_path, unstable):
     assert not env["warnings"]
 
 
+def test_smallgain_warns_when_inconclusive(capsys, tmp_path):
+    two = write_model(tmp_path / "two.json", {"kind": "tf", "num": [2.0], "den": [1.0, 1.0]})
+    code, env = run_json(
+        capsys, ["smallgain", two, two, "--p1", "0", "--p2", "0", "--strip", "0,0.5"]
+    )
+    assert code == 0
+    assert env["warnings"] == ["gain product 16 >= 1; small-gain test is inconclusive"]
+    assert env["results"]["conclusive"] is False
+
+
 def test_nyquist_csv_schema(capsys, first_order):
     code, out = run(capsys, ["nyquist", first_order, "--line", "0", "--points", "5"])
     assert code == 0
@@ -279,6 +289,19 @@ def test_example_sec5_large_lag_not_confirmed(capsys):
     code, out = run(capsys, ["example-sec5", "--tau", "10", "--slopes", "3"])
     assert code == 2
     assert out.strip().endswith("robust 2-dominance: NOT CONFIRMED")
+
+
+def test_example_sec5_warns_when_the_small_gain_product_is_not_below_one(capsys):
+    # the warning only: the verdict beside it is revisited by ROADMAP item 6
+    _, out = run(capsys, ["example-sec5", "--tau", "0.4"])
+    env = json.loads(out[: out.rindex("robust")])
+    product = env["results"]["small_gain"]["product"]
+    assert product == pytest.approx(4.0 / 3.0, rel=1e-5)
+    assert env["warnings"] == [
+        "small-gain product %s is not below one; the sector bound alone does not "
+        "certify robustness" % float_repr(product)
+    ]
+    assert env["results"]["small_gain"]["satisfied"] is False
 
 
 def test_example_sec5_rejects_a_single_slope(capsys):

@@ -47,13 +47,13 @@ def test_exit_status_says_whether_any_operation_differs(monkeypatch, capsys, cha
 
 
 def test_error_paths_reach_both_error_codes_and_capture_each_error_line(tmp_path):
-    """Every operation but the triple pole's exits 2 or 3 with one error
-    line; at each of its two lines, the table and the grid norm of
-    1/(s + 1)^3 exit alike."""
+    """Every operation but the triple pole's and laplace's exits 2 or 3
+    with one error line; at each of its two lines, the table and the grid
+    norm of 1/(s + 1)^3 exit alike."""
     tool = _tool()
     ops = tool.error_ops(str(tmp_path))
     outputs = tool.run_checkout(tool.ROOT, ops, str(tmp_path), "change")
-    assert len(ops) == 25
+    assert len(ops) == 31
     codes = {name: out["rc"] for (_, _, name, _), out in zip(ops, outputs)}
     errors = {name: out["stderr"] for (_, _, name, _), out in zip(ops, outputs)}
     assert "dominance at rate 0 is marginal" in errors["scale: dominance --p 0 --rate 0"]
@@ -61,7 +61,7 @@ def test_error_paths_reach_both_error_codes_and_capture_each_error_line(tmp_path
     assert "B[0] must have 1 entries, got 2" in errors["two-input: dominance --p 1 --rate 0"]
     for rate in ("0.99999179", "0.99999101"):
         assert codes["cube: nyquist --line " + rate] == codes["cube: norm --line " + rate]
-    rest = {name: rc for name, rc in codes.items() if not name.startswith("cube: ")}
+    rest = {name: rc for name, rc in codes.items() if not name.startswith(("cube: ", "laplace "))}
     assert set(rest.values()) == {2, 3}
     for (workload, _, name, _), out in zip(ops, outputs):
         assert workload == "errors" and tool.kind_of(workload, name) == "error paths"

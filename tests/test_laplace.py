@@ -103,6 +103,35 @@ def test_forward_conjugate_pair_gives_real_transform():
     assert np.allclose(pair.F.den.coeffs, [5.0, 2.0, 1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SignalSpec(()),
+        SignalSpec((term(0.0, 0, 1.0, "causal"), term(0.0, 2, -1.0, "anticausal"))),
+    ],
+    ids=["no-terms", "zero-coefficients"],
+)
+def test_forward_of_a_zero_signal_is_zero_on_the_whole_plane(spec):
+    pair = forward(spec)
+    assert (pair.F.num.coeffs, pair.F.den.coeffs) == ((0.0,), (1.0,))
+    assert pair.roc == ROC(-math.inf, math.inf)
+
+
+def test_inverse_of_zero_is_the_empty_signal():
+    assert inverse(RationalFunction([0.0], [2.0, 1.0]), ROC(-1.0, math.inf)).terms == ()
+
+
+def test_roc_options_of_a_polynomial_is_the_whole_plane():
+    assert roc_options(RationalFunction([1.0, 2.0], [1.0])) == (ROC(-math.inf, math.inf),)
+
+
+def test_decompose_line_with_every_pole_on_one_side():
+    G = RationalFunction([1.0], [2.0, 3.0, 1.0])  # 1/((s + 1)(s + 2))
+    g_minus, g_plus = decompose_line(G, Line(0.0))
+    assert (g_minus.num.coeffs, g_minus.den.coeffs) == (G.num.coeffs, G.den.coeffs)
+    assert (g_plus.num.coeffs, g_plus.den.coeffs) == ((0.0,), (1.0,))
+
+
 def test_inverse_side_rule_between_poles():
     G = RationalFunction([1.0], Polynomial((-3.0, 2.0, 1.0)))
     spec = inverse(G, ROC(-3.0, 1.0))
@@ -162,6 +191,12 @@ def test_eval_signal_values():
     spec = SignalSpec((term(2.0, 1, -0.5, "causal"), term(-1.0, 0, 1.0, "anticausal")))
     assert eval_signal(spec, 2.0) == pytest.approx(4.0 * math.exp(-1.0))
     assert eval_signal(spec, -1.0) == pytest.approx(-math.exp(-1.0))
+
+
+def test_eval_signal_needs_conjugate_closure():
+    spec = SignalSpec((term(1.0, 0, complex(-1.0, 2.0), "causal"),))
+    with pytest.raises(NumericalFailure):
+        eval_signal(spec, 0.5)
 
 
 def test_round_trip_all_roc_options_seeded():

@@ -127,6 +127,36 @@ def test_partial_fractions_conjugate_pair():
     assert t0.coefficient == pytest.approx(np.conj(t1.coefficient))
 
 
+@pytest.mark.parametrize(
+    "G, part",
+    [
+        (RationalFunction([0.0], [1.0]), (0.0,)),
+        (RationalFunction([3.0], [2.0]), (1.5,)),
+        (RationalFunction([1.0, 0.0, 1.0], [1.0]), (1.0, 0.0, 1.0)),
+    ],
+    ids=["zero", "constant", "polynomial"],
+)
+def test_partial_fractions_of_a_polynomial_is_that_polynomial(G, part):
+    poly, terms = partial_fractions(G)
+    assert poly.coeffs == part and terms == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+def test_a_triple_pole_expands_into_one_cluster():
+    """1/(s + 1)^3 is one term of each order 1-3 at one pole, and the terms
+    sum to G; the computed roots lie up to 1.6e-5 apart, beyond
+    CLUSTER_TOL's radius, so today it gives three simple-pole terms of size
+    4e9 whose sum misses G by 4e4 |G|."""
+    G = RationalFunction([1.0], [1.0, 3.0, 3.0, 1.0])
+    poly, terms = partial_fractions(G)
+    assert poly.is_zero
+    assert sorted(t.order for t in terms) == [1, 2, 3]
+    assert len({t.pole for t in terms}) == 1
+    for s in (0.5 + 1j, 2.0 + 3j):
+        total = sum(t.coefficient / (s - t.pole) ** t.order for t in terms)
+        assert abs(total - G.eval_unchecked(s)) <= 1e-8 * abs(G.eval_unchecked(s))
+
+
 def test_recombine_round_trip_seeded():
     """Split-and-recombine must reproduce the function pointwise."""
     rng = np.random.RandomState(11)

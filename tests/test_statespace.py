@@ -158,6 +158,20 @@ def test_tf_of_eigensolves_the_perturbed_matrix_only(monkeypatch):
     assert np.allclose(G.den.coeffs, [2.0, 3.0, 1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "A, B, C, D, num",
+    [
+        (np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), 2.5, (2.5,)),
+        (np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), -0.0, (0.0,)),
+        ([[-1.0]], [[0.0]], [[1.0]], 0.5, (0.5,)),
+    ],
+    ids=["no-states", "no-states-negative-zero", "unreachable"],
+)
+def test_tf_of_a_static_system_is_its_feedthrough(A, B, C, D, num):
+    G = tf_of(StateSpace(A, B, C, [[D]]))
+    assert (G.num.coeffs, G.den.coeffs) == (num, (1.0,))
+
+
 def test_modal_split_separates_poles():
     _, ss, strip = two_sided_example()
     split = modal_split(ss, strip)

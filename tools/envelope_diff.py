@@ -84,6 +84,7 @@ ERROR_MODELS = {
     "two-input": {"kind": "ss", "A": [[1.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
                   "C": [[1.0, 1.0]], "D": [[0.0, 0.0]]},
     "cube": {"kind": "tf", "num": [1.0], "den": [1.0, 3.0, 3.0, 1.0]},
+    "two-sided": {"kind": "tf", "num": [1.0, 2.0], "den": [-5.0, 3.0, 1.0, 1.0]},
 }
 # (name, argv) of each: example-sec5's input errors, a malformed model file,
 # one operation per typed analysis error the CLI prints, two level tests
@@ -91,8 +92,12 @@ ERROR_MODELS = {
 # 2e300, computed as 2.2e284, on a rate line, a model with two inputs,
 # which the loader refuses, and the table and the grid norm of 1/(s + 1)^3
 # on two lines within 1e-5 of its triple pole, where the computed roots
-# scatter (one on-line verdict each); "{model}" is the path of
-# ERROR_MODELS[model].
+# scatter (one on-line verdict each).  The laplace operations take the
+# partial-fraction path, which no benchmark operation reaches either:
+# invert of a model with poles on both sides of the imaginary axis on each
+# of its three bands and of the triple pole (ROADMAP item 5's fault), and
+# forward of a conjugate pair beside an anticausal term and of a zero
+# signal.  "{model}" is the path of ERROR_MODELS[model].
 ERROR_OPS = [
     ("example-sec5 --tau -1", ["example-sec5", "--tau", "-1"]),
     ("example-sec5 --d 0", ["example-sec5", "--d", "0"]),
@@ -121,6 +126,18 @@ ERROR_OPS = [
     ("cube: %s --line %s" % (verb, rate), [verb, "{cube}", "--line", rate] + extra)
     for rate in ("0.99999179", "0.99999101")
     for verb, extra in (("nyquist", ["--points", "5"]), ("norm", ["--method", "grid"]))
+] + [
+    ("laplace invert two-sided --roc=%s" % roc, ["laplace", "invert", "{two-sided}",
+                                                 "--roc=" + roc])
+    for roc in ("-inf,-1", "-1,1", "1,inf")
+] + [
+    ("laplace invert cube --roc=-0.5,inf", ["laplace", "invert", "{cube}", "--roc=-0.5,inf"]),
+    ("laplace forward: conjugate pair", ["laplace", "forward", json.dumps({"terms": [
+        {"side": "causal", "a": [-1, 2], "c": [0.5, 1]},
+        {"side": "causal", "a": [-1, -2], "c": [0.5, -1]},
+        {"side": "anticausal", "a": 1, "k": 1}]})]),
+    ("laplace forward: zero signal", ["laplace", "forward",
+                                      json.dumps({"terms": [{"side": "causal", "c": 0}]})]),
 ]
 
 
